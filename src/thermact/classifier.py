@@ -9,13 +9,26 @@ Training minimizes the averaged primal objective
     lam/2 * ||w||^2 + (1/m) * sum_i max(0, 1 - y_i (w.z_i + b)),
     lam = 1 / (regularization_c * m)
 
-by sequential sub-gradient steps over the samples, reshuffled each epoch
-from the seed, with step size 1 / (lam * t) at the t-th update. The bias
-rides along as a constant unit feature, so it shares the step schedule's
+by sequential sub-gradient steps over the samples (Pegasos), reshuffled each
+epoch from the seed, with step size 1 / (lam * t) at the t-th update. The
+bias rides along as a constant unit feature, so it shares the step schedule's
 self-averaging (an update-indexed step and the augmented bias are what make
 this schedule converge; a step held fixed across each epoch leaves the bias
 doing an undamped random walk). No external solver, bit-reproducible given
 the seed.
+
+All C binary problems of a training set draw the same permutations and the
+same step schedule, so they are trained in lockstep: each step shrinks the
+(C, D+1) weight matrix of the still-active classes and adds the sample to the
+rows whose margin it violates, and each epoch evaluates every active class's
+objective in one batch. Each class stops on its own, at the first epoch whose
+objective moved by at most `tolerance` relative to the previous epoch's (or
+at `max_epochs`); its weights then freeze while the others go on. The
+weights equal those of training the classes one at a time, bit for bit.
+
+Non-finite features are refused in training and in prediction: their scores
+would be NaN, and argmax of NaN scores picks class 0 (`fall` in the ADL7
+order).
 """
 
 from __future__ import annotations
@@ -66,6 +79,10 @@ class SvmModel:
     scaler_mean: np.ndarray  # (D,)
     scaler_std: np.ndarray  # (D,)
     train_config: SvmConfig
+    # Per class, from training only (not saved; a loaded model has ()):
+    # epochs run, and whether the objective settled before max_epochs.
+    epochs: tuple[int, ...] = ()
+    converged: tuple[bool, ...] = ()
 
     @property
     def dimension(self) -> int:
@@ -97,29 +114,94 @@ def _as_matrix(features) -> np.ndarray:
     return np.stack(rows)
 
 
-def _train_binary(
-    Zb: np.ndarray, y: np.ndarray, cfg: SvmConfig
-) -> tuple[np.ndarray, float]:
-    # Zb carries the constant bias column as its last coordinate.
-    m = Zb.shape[0]
+def _require_finite(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        raise ValueError(
+            f"feature row {bad[0]} has non-finite values"
+            + (f" ({bad.size} such rows)" if bad.size > 1 else "")
+        )
+
+
+def _objective(w: np.ndarray, Zb: np.ndarray, y: np.ndarray, lam: float) -> float:
+    """One class's primal objective, rounded as one-class training rounds it."""
+    hinge = np.maximum(0.0, 1.0 - y * (Zb @ w))
+    return 0.5 * lam * (w @ w) + hinge.mean()
+
+
+def _train_ovr(
+    Zb: np.ndarray, Y: np.ndarray, cfg: SvmConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pegasos on all C one-vs-rest problems of a training set at once.
+
+    Zb is (m, D+1) with the constant bias column last; Y is (C, m) of +-1.
+    Every problem draws the same permutations and step schedule, so a step
+    is one (C, D+1) update of the still-active rows. A problem leaves the
+    active set, its weights frozen, at the end of the epoch where its own
+    objective stops moving. Returns the weights (C, D+1), the epochs each
+    problem ran and whether it converged before `max_epochs`.
+
+    The margins and objectives come from matrix products, which may round
+    differently from a one-class dot product: by at most 2*n*u times the sum
+    of the terms' magnitudes (n terms, unit roundoff u). `slack` bounds that
+    with room to spare, so a batched value that lies farther than its bound
+    from its threshold decides as the one-class value would; one that lies
+    closer is recomputed one class at a time. So every step and every stop
+    matches training the classes one at a time, bit for bit.
+    """
+    C, m = Y.shape
     lam = 1.0 / (cfg.regularization_c * m)
+    tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
-    w = np.zeros(Zb.shape[1])
+    slack = 8.0 * max(Zb.shape[1], m) * np.finfo(np.float64).eps
+    znorm = np.sqrt(np.einsum("ij,ij->i", Zb, Zb)).tolist()
+    zmax = max(znorm)
+    W = np.zeros((C, Zb.shape[1]))
+    epochs = np.full(C, cfg.max_epochs)
+    converged = np.zeros(C, dtype=bool)
+    active = np.arange(C)
+    Wa, Ya = W.copy(), Y
+    wmax = 0.0  # bounds the norm of every active row of Wa
     t = 0
-    prev_obj = None
-    for _ in range(cfg.max_epochs):
-        for i in rng.permutation(m):
+    prev_obj = prev_err = W_prev = None
+    for epoch in range(1, cfg.max_epochs + 1):
+        YaT = Ya.T
+        for i in rng.permutation(m).tolist():
+            z, y, zn = Zb[i], YaT[i], znorm[i]
             t += 1
             eta = 1.0 / (lam * t)
-            w *= 1.0 - eta * lam
-            if y[i] * (Zb[i] @ w) < 1.0:
-                w += (eta * y[i]) * Zb[i]
-        hinge = np.maximum(0.0, 1.0 - y * (Zb @ w))
-        obj = 0.5 * lam * (w @ w) + hinge.mean()
-        if prev_obj is not None and abs(prev_obj - obj) <= cfg.tolerance * max(1.0, abs(prev_obj)):
-            break
-        prev_obj = obj
-    return w[:-1], float(w[-1])
+            Wa *= 1.0 - eta * lam
+            margins = y * (Wa @ z)
+            tie = slack * (1.0 + wmax * zn)
+            viol = (margins < 1.0 + tie).nonzero()[0]
+            if viol.size:  # most steps of a late epoch violate no margin
+                if margins[viol].max() >= 1.0 - tie:
+                    viol = np.array([k for k in viol if y[k] * (z @ Wa[k]) < 1.0], dtype=np.intp)
+                Wa[viol] += (eta * y[viol])[:, None] * z
+                wmax += eta * zn
+        hinge = np.maximum(0.0, 1.0 - Ya * (Wa @ Zb.T))
+        sq = np.einsum("cd,cd->c", Wa, Wa)
+        obj = 0.5 * lam * sq + hinge.mean(axis=1)
+        wmax = float(np.sqrt(sq.max()))
+        err = slack * (1.0 + 2.0 * float(obj.max()) + wmax * zmax)
+        if prev_obj is not None:
+            gap = np.abs(prev_obj - obj) - tol * np.maximum(1.0, np.abs(prev_obj))
+            done = gap <= 0.0
+            for k in (np.abs(gap) <= (1.0 + tol) * (prev_err + err)).nonzero()[0]:
+                before = _objective(W_prev[k], Zb, Ya[k], lam)
+                after = _objective(Wa[k], Zb, Ya[k], lam)
+                done[k] = abs(before - after) <= tol * max(1.0, abs(before))
+            if done.any():
+                W[active[done]] = Wa[done]
+                epochs[active[done]] = epoch
+                converged[active[done]] = True
+                keep = ~done
+                active, Wa, Ya, obj = active[keep], Wa[keep], Ya[keep], obj[keep]
+                if not active.size:
+                    break
+        prev_obj, prev_err, W_prev = obj, err, Wa.copy()
+    W[active] = Wa
+    return W, epochs, converged
 
 
 def train(
@@ -136,6 +218,7 @@ def train(
     """
     cfg = cfg or SvmConfig()
     X = _as_matrix(features)
+    _require_finite(X)
     labels = [str(l) for l in labels]
     if len(labels) != X.shape[0]:
         raise ValueError(f"{X.shape[0]} feature rows but {len(labels)} labels")
@@ -143,6 +226,8 @@ def train(
     if len(present) < 2:
         raise ValueError("training needs at least 2 distinct labels")
     ordered = tuple(classes) if classes is not None else tuple(sorted(present))
+    if len(set(ordered)) != len(ordered):
+        raise ValueError(f"duplicate class names in {list(ordered)}")
     missing = [c for c in ordered if c not in present]
     if missing:
         raise ValueError(f"no training examples for class(es): {missing}")
@@ -157,11 +242,9 @@ def train(
     Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
 
     y_index = np.array([ordered.index(l) for l in labels])
-    weights = np.empty((len(ordered), X.shape[1]))
-    biases = np.empty(len(ordered))
-    for c in range(len(ordered)):
-        y = np.where(y_index == c, 1.0, -1.0)
-        weights[c], biases[c] = _train_binary(Zb, y, cfg)
+    Y = np.where(y_index == np.arange(len(ordered))[:, None], 1.0, -1.0)
+    W, epochs, converged = _train_ovr(Zb, Y, cfg)
+    weights, biases = np.ascontiguousarray(W[:, :-1]), W[:, -1].copy()
 
     weights.flags.writeable = False
     biases.flags.writeable = False
@@ -174,6 +257,8 @@ def train(
         scaler_mean=mean,
         scaler_std=std,
         train_config=cfg,
+        epochs=tuple(epochs.tolist()),
+        converged=tuple(converged.tolist()),
     )
 
 
@@ -183,6 +268,7 @@ def predict(model: SvmModel, feature) -> tuple[str, np.ndarray]:
     Ties go to the lowest class index in the model's class order.
     """
     vec = feature.combined if isinstance(feature, FeatureVector) else np.asarray(feature, dtype=np.float64)
+    _require_finite(vec.reshape(1, -1))
     scores = model.decision_scores(vec.reshape(-1))
     return model.classes[int(np.argmax(scores))], scores
 
@@ -194,6 +280,7 @@ def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
     bit-identical to one-at-a-time prediction.
     """
     X = _as_matrix(features)
+    _require_finite(X)
     scores = np.stack([model.decision_scores(row) for row in X])
     labels = [model.classes[i] for i in np.argmax(scores, axis=1)]
     return labels, scores
@@ -237,8 +324,10 @@ def load_model(path: str | Path) -> tuple[SvmModel, dict]:
             f"{path}: unsupported model version {data['version']!r} "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
+    config = data.get("config", {})
+    if not isinstance(config, dict) or not isinstance(config.get("svm", {}), dict):
+        raise ModelFormatError(f"{path}: 'config' and its 'svm' section must be JSON objects")
     try:
-        config = data.get("config", {})
         svm_cfg = SvmConfig(**config.get("svm", {}))
         weights = np.array(data["weights"], dtype=np.float64)
         biases = np.array(data["biases"], dtype=np.float64)
@@ -247,8 +336,20 @@ def load_model(path: str | Path) -> tuple[SvmModel, dict]:
         classes = tuple(data["classes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
-    if weights.ndim != 2 or weights.shape != (len(classes), mean.size) or biases.shape != (len(classes),):
+    dim = mean.size
+    if (
+        weights.shape != (len(classes), dim)
+        or biases.shape != (len(classes),)
+        or mean.shape != (dim,)
+        or std.shape != (dim,)
+    ):
         raise ModelFormatError(f"{path}: inconsistent model dimensions")
+    if not all(np.isfinite(arr).all() for arr in (weights, biases, mean, std)):
+        raise ModelFormatError(f"{path}: non-finite weights, biases or scaler values")
+    if (std <= 0).any():
+        raise ModelFormatError(f"{path}: scaler_std must be positive")
+    if not all(isinstance(c, str) for c in classes) or len(set(classes)) != len(classes):
+        raise ModelFormatError(f"{path}: class names must be distinct strings")
     for arr in (weights, biases, mean, std):
         arr.flags.writeable = False
     model = SvmModel(

@@ -153,7 +153,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 f"dimension {model.dimension} (was the model trained with a "
                 f"different configuration?)"
             )
-        label, scores = predict(model, vector)
+        try:
+            label, scores = predict(model, vector)
+        except ValueError as exc:
+            raise ThermactError(f"{path}: {exc}") from exc
         if args.scores:
             rendered = " ".join(
                 f"{cls}={score:.6g}" for cls, score in zip(model.classes, scores)

@@ -34,3 +34,56 @@ def naive_dct2(grid):
                     )
             out[u, v] = cu * cv * acc
     return out
+
+
+def pegasos_binary(Zb, y, cfg, objectives=None):
+    """One binary Pegasos problem, one sample at a time.
+
+    Zb carries the constant bias column last. Returns the weights, the bias,
+    the epochs run and whether the objective settled before `cfg.max_epochs`.
+    Each epoch's objective is appended to `objectives` if given.
+    """
+    m = Zb.shape[0]
+    lam = 1.0 / (cfg.regularization_c * m)
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros(Zb.shape[1])
+    t = 0
+    prev_obj = None
+    for epoch in range(1, cfg.max_epochs + 1):
+        for i in rng.permutation(m):
+            t += 1
+            eta = 1.0 / (lam * t)
+            w *= 1.0 - eta * lam
+            if y[i] * (Zb[i] @ w) < 1.0:
+                w += (eta * y[i]) * Zb[i]
+        hinge = np.maximum(0.0, 1.0 - y * (Zb @ w))
+        obj = 0.5 * lam * (w @ w) + hinge.mean()
+        if objectives is not None:
+            objectives.append(obj)
+        if prev_obj is not None and abs(prev_obj - obj) <= cfg.tolerance * max(1.0, abs(prev_obj)):
+            return w[:-1], float(w[-1]), epoch, True
+        prev_obj = obj
+    return w[:-1], float(w[-1]), cfg.max_epochs, False
+
+
+def train_per_class(X, labels, cfg, classes):
+    """One-vs-rest training one class at a time, with the library's scaler.
+
+    Returns (weights (C, D), biases (C,), epochs, converged) for `classes`
+    in the order given.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std < 1e-8, 1.0, std)
+    Zb = np.hstack([(X - mean) / std, np.ones((X.shape[0], 1))])
+    labels = [str(l) for l in labels]
+    weights = np.empty((len(classes), X.shape[1]))
+    biases = np.empty(len(classes))
+    epochs, converged = [], []
+    for c, cls in enumerate(classes):
+        y = np.array([1.0 if l == cls else -1.0 for l in labels])
+        weights[c], biases[c], e, ok = pegasos_binary(Zb, y, cfg)
+        epochs.append(e)
+        converged.append(ok)
+    return weights, biases, tuple(epochs), tuple(converged)

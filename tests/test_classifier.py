@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import pegasos_binary, train_per_class
 from thermact.classifier import (
     STD_FLOOR,
     ModelFormatError,
@@ -14,8 +18,10 @@ from thermact.classifier import (
     save_model,
     train,
 )
-from thermact.core import ThermactError
-from thermact.synth import toy_clusters
+from thermact.core import ThermactError, load_manifest
+from thermact.evaluate import loso_split, prepare_features, stratified_kfold_split
+from thermact.features import FeatureConfig
+from thermact.synth import generate_corpus, toy_clusters
 
 
 def hinge_objective(Z, y, w, b, lam):
@@ -85,6 +91,181 @@ class TestTrain:
         model = train(X, labels)
         assert model.scaler_std[0] == 1.0 and model.scaler_std[2] == 1.0
         assert model.scaler_std[1] > STD_FLOOR
+
+
+def assert_matches_per_class(X, labels, cfg, classes):
+    """Lockstep training gives the per-class oracle's model, bit for bit."""
+    model = train(X, labels, cfg, classes=classes)
+    weights, biases, epochs, converged = train_per_class(X, labels, cfg, classes)
+    assert model.classes == tuple(classes)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.biases, biases)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.biases.tobytes() == biases.tobytes()
+    assert model.epochs == epochs
+    assert model.converged == converged
+    return model
+
+
+@pytest.fixture(scope="module")
+def corpus_features(tmp_path_factory):
+    """2 subjects x 5 sessions: 10 recordings per class, enough for 10-fold."""
+    out = tmp_path_factory.mktemp("lockstep_corpus")
+    manifest = load_manifest(generate_corpus(out, subjects=2, reps=5, seed=3).manifest_path)
+    X, labels = prepare_features(manifest, 20, FeatureConfig())
+    return manifest, X, np.array(labels)
+
+
+class TestLockstepMatchesPerClass:
+    @pytest.mark.parametrize("protocol", ["loso", "kfold10"])
+    def test_every_fold(self, corpus_features, protocol):
+        manifest, X, labels = corpus_features
+        if protocol == "loso":
+            folds = loso_split(manifest)
+        else:
+            folds = stratified_kfold_split(manifest, k=10, seed=42)
+        for train_idx, _ in folds:
+            assert_matches_per_class(X[train_idx], labels[train_idx], SvmConfig(), manifest.label_set)
+
+    def test_single_epoch(self, clusters):
+        X, labels = clusters
+        assert_matches_per_class(X, labels, SvmConfig(max_epochs=1), tuple(sorted(set(labels))))
+
+    def test_every_class_stops_at_epoch_two(self, clusters):
+        X, labels = clusters
+        model = assert_matches_per_class(
+            X, labels, SvmConfig(tolerance=1e6), tuple(sorted(set(labels)))
+        )
+        assert model.epochs == (2,) * 7
+        assert model.converged == (True,) * 7
+
+    @pytest.mark.parametrize("c", [0.1, 10.0])
+    def test_regularization(self, clusters, c):
+        X, labels = clusters
+        assert_matches_per_class(X, labels, SvmConfig(regularization_c=c), tuple(sorted(set(labels))))
+
+    def test_two_classes(self):
+        X, labels = toy_clusters(n_classes=2, per_class=12, dim=6, noise=3.0, seed=2)
+        assert_matches_per_class(X, labels, SvmConfig(), ("class_0", "class_1"))
+
+    def test_unsorted_class_order(self, clusters):
+        X, labels = clusters
+        order = ("class_4", "class_0", "class_6", "class_2", "class_5", "class_1", "class_3")
+        model = assert_matches_per_class(X, labels, SvmConfig(seed=9), order)
+        pred, _ = predict_batch(model, X)
+        assert pred == labels
+
+    @pytest.mark.parametrize(
+        "X, n_classes, cfg",
+        [
+            (np.array([[0.0], [1.0], [1.0]]), 3, SvmConfig(max_epochs=6, seed=0)),
+            (np.zeros((12, 1)), 2, SvmConfig(max_epochs=1, seed=4)),
+        ],
+    )
+    def test_margins_on_the_threshold(self, X, n_classes, cfg):
+        # Exact small values put margins on or next to 1.0, where a batched
+        # product and a one-class dot product can round to opposite sides.
+        labels = [f"k{i % n_classes}" for i in range(len(X))]
+        assert_matches_per_class(X, labels, cfg, tuple(f"k{i}" for i in range(n_classes)))
+
+    def test_tolerance_on_an_epochs_own_change(self, clusters):
+        # Tolerance equal to the relative objective change of a record-low
+        # epoch puts that class's stop test within rounding of its threshold,
+        # where batched and one-class objectives may fall on either side.
+        X, labels = clusters
+        classes = tuple(sorted(set(labels)))
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        Zb = np.hstack([(X - mean) / std, np.ones((len(X), 1))])
+        tolerances = set()
+        for cls in classes[:3]:
+            y = np.where(np.array(labels) == cls, 1.0, -1.0)
+            trace = []
+            pegasos_binary(Zb, y, SvmConfig(max_epochs=40, tolerance=1e-300), trace)
+            low = np.inf
+            for before, after in zip(trace, trace[1:]):
+                change = abs(before - after) / max(1.0, abs(before))
+                if 0 < change < low:
+                    low = change
+                    tolerances.add(change)
+        assert len(tolerances) >= 10
+        for tolerance in sorted(tolerances):
+            assert_matches_per_class(X, labels, SvmConfig(max_epochs=40, tolerance=tolerance), classes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_classes=st.integers(2, 4),
+        per_class=st.integers(1, 5),
+        dim=st.integers(1, 6),
+        c=st.sampled_from([0.05, 1.0, 20.0]),
+        max_epochs=st.integers(1, 40),
+        tolerance=st.sampled_from([1e-6, 1e-3, 0.1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_problems(self, data, n_classes, per_class, dim, c, max_epochs, tolerance, seed):
+        m = n_classes * per_class
+        X = data.draw(
+            hnp.arrays(np.float64, (m, dim), elements=st.floats(-1e3, 1e3, allow_nan=False))
+        )
+        labels = [f"k{i % n_classes}" for i in range(m)]
+        classes = tuple(data.draw(st.permutations([f"k{i}" for i in range(n_classes)])))
+        cfg = SvmConfig(regularization_c=c, max_epochs=max_epochs, tolerance=tolerance, seed=seed)
+        assert_matches_per_class(X, labels, cfg, classes)
+
+
+class TestConvergenceSignal:
+    def test_one_epoch_reports_no_class_converged(self, clusters):
+        X, labels = clusters
+        model = train(X, labels, SvmConfig(max_epochs=1))
+        assert model.epochs == (1,) * 7
+        assert model.converged == (False,) * 7
+
+    def test_default_training_converges_per_class(self, clusters):
+        X, labels = clusters
+        model = train(X, labels)
+        assert len(model.epochs) == len(model.converged) == 7
+        assert all(model.converged)
+        assert all(2 <= e < 200 for e in model.epochs)
+
+    def test_not_saved(self, clusters, tmp_path):
+        X, labels = clusters
+        path = tmp_path / "model.json"
+        save_model(train(X, labels), path)
+        assert set(json.loads(path.read_text())) == {
+            "version", "classes", "weights", "biases", "scaler_mean", "scaler_std", "config"
+        }
+        loaded, _ = load_model(path)
+        assert loaded.epochs == () and loaded.converged == ()
+
+
+class TestNonFinite:
+    """A NaN feature gives NaN scores, and argmax of NaN picks class 0 ("fall"
+    in the ADL7 order): non-finite input must be an error, never a label."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_train_rejects(self, clusters, value):
+        X, labels = clusters
+        X = X.copy()
+        X[5, 2] = value
+        with pytest.raises(ValueError, match="row 5"):
+            train(X, labels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_predict_rejects(self, clusters, value):
+        X, labels = clusters
+        model = train(X, labels)
+        query = X[20].copy()
+        query[0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(model, query)
+
+    def test_predict_batch_names_the_row(self, clusters):
+        X, labels = clusters
+        model = train(X, labels)
+        queries = X[:6].copy()
+        queries[4, 1] = np.nan
+        with pytest.raises(ValueError, match="row 4"):
+            predict_batch(model, queries)
 
 
 class TestDuplication:
@@ -245,6 +426,39 @@ class TestPersistence:
         bad = tmp_path / "no_such_dir" / "model.json"
         with pytest.raises(ThermactError, match="no_such_dir"):
             save_model(model, bad)
+
+    @pytest.mark.parametrize(
+        "doctor, message",
+        [
+            (lambda d: d.update(config=[1, 2]), "config"),
+            (lambda d: d.update(config="svm"), "config"),
+            (lambda d: d["config"].update(svm=[]), "svm"),
+            (lambda d: d["config"].update(svm=3), "svm"),
+            (lambda d: d["scaler_std"].__setitem__(1, 0.0), "scaler_std"),
+            (lambda d: d["scaler_std"].__setitem__(1, -2.0), "scaler_std"),
+            (lambda d: d["scaler_std"].__setitem__(1, float("inf")), "non-finite"),
+            (lambda d: d["scaler_std"].__setitem__(1, float("nan")), "non-finite"),
+            (lambda d: d["weights"][2].__setitem__(3, float("nan")), "non-finite"),
+            (lambda d: d["biases"].__setitem__(0, float("-inf")), "non-finite"),
+            (lambda d: d["scaler_mean"].__setitem__(0, float("nan")), "non-finite"),
+            (lambda d: d["classes"].__setitem__(1, d["classes"][0]), "distinct"),
+            (lambda d: d.update(scaler_std=d["scaler_std"][:1]), "dimensions"),
+        ],
+    )
+    def test_malformed_model_rejected(self, clusters, tmp_path, doctor, message):
+        X, labels = clusters
+        path = tmp_path / "model.json"
+        save_model(train(X, labels), path)
+        data = json.loads(path.read_text())
+        doctor(data)
+        path.write_text(json.dumps(data))  # NaN/Infinity are written as JSON extensions
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_duplicate_classes_rejected_in_training(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="duplicate"):
+            train(X, ["a", "b", "b"], classes=("a", "b", "b"))
 
     def test_embedded_pipeline_config(self, clusters, tmp_path):
         X, labels = clusters

@@ -226,6 +226,52 @@ class TestTrainPredict:
         assert "dimension" in capsys.readouterr().err
 
 
+    def _predict(self, corpus_dir, model_path):
+        return main(
+            [
+                "predict",
+                "--model",
+                str(model_path),
+                "--background",
+                str(corpus_dir / "background.csv"),
+                str(corpus_dir / "s01r1_fall.csv"),
+            ]
+        )
+
+    def test_non_finite_features_are_an_error_not_a_fall(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        import thermact.cli as cli
+
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
+        capsys.readouterr()
+        real = cli.extract_features
+
+        def nan_features(seq, cfg):
+            vector = real(seq, cfg).combined.copy()
+            vector[7] = np.nan
+            return vector
+
+        monkeypatch.setattr(cli, "extract_features", nan_features)
+        assert self._predict(corpus_dir, model_path) == 1
+        captured = capsys.readouterr()
+        assert "fall" not in captured.out
+        assert "s01r1_fall.csv" in captured.err and "non-finite" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("config", [[], "svm", {"svm": 5}])
+    def test_malformed_model_config_is_an_error(self, corpus_dir, tmp_path, capsys, config):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
+        data = json.loads(model_path.read_text())
+        data["config"] = config
+        model_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self._predict(corpus_dir, model_path) == 1
+        err = capsys.readouterr().err
+        assert str(model_path) in err
+        assert "Traceback" not in err
+
+
 class TestFeaturize:
     def test_featurize_csv(self, corpus_dir, tmp_path):
         out = tmp_path / "features.csv"
