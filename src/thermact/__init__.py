@@ -10,7 +10,6 @@ from .core import (
     ManifestError,
     SequenceFormatError,
     ThermactError,
-    ThermalFrame,
     ThermalSequence,
     load_manifest,
     load_sequences,
@@ -27,10 +26,8 @@ from .preprocess import (
     subtract_background,
 )
 from .features import (
-    DctBasis,
     FeatureConfig,
-    FeatureVector,
-    dct_basis,
+    dct_matrix,
     extract_features,
     feature_matrix,
     spatial_feature,

@@ -40,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import ThermactError
-from .features import FeatureVector
 
 MODEL_FORMAT_VERSION = 1
 
@@ -92,20 +91,24 @@ class SvmModel:
         return (features - self.scaler_mean) / self.scaler_std
 
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
-        """Raw features in, one score per class out (batched if 2-D)."""
+        """Raw features in, one score per class out (batched if 2-D).
+
+        Non-finite features are a ValueError (naming the row if 2-D).
+        """
         features = np.asarray(features, dtype=np.float64)
         if features.shape[-1] != self.dimension:
             raise ValueError(
                 f"feature dimension {features.shape[-1]} does not match "
                 f"model dimension {self.dimension}"
             )
+        _require_finite(features)
         return self.standardize(features) @ self.weights.T + self.biases
 
 
 def _as_matrix(features) -> np.ndarray:
     if isinstance(features, np.ndarray) and features.ndim == 2:
         return np.asarray(features, dtype=np.float64)
-    rows = [f.combined if isinstance(f, FeatureVector) else np.asarray(f, dtype=np.float64) for f in features]
+    rows = [np.asarray(f, dtype=np.float64) for f in features]
     if not rows:
         raise ValueError("no training examples")
     lengths = {r.size for r in rows}
@@ -116,7 +119,7 @@ def _as_matrix(features) -> np.ndarray:
 
 def _require_finite(X: np.ndarray) -> None:
     if not np.isfinite(X).all():
-        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(X.reshape(-1, X.shape[-1])).all(axis=1))
         raise ValueError(
             f"feature row {bad[0]} has non-finite values"
             + (f" ({bad.size} such rows)" if bad.size > 1 else "")
@@ -212,7 +215,7 @@ def train(
 ) -> SvmModel:
     """Fit a one-vs-rest linear SVM.
 
-    `features` may be FeatureVectors, 1-D arrays, or a (N, D) matrix.
+    `features` may be 1-D arrays or a (N, D) matrix.
     `classes` fixes the class order (default: sorted distinct labels); every
     listed class must appear in `labels` at least once.
     """
@@ -267,9 +270,7 @@ def predict(model: SvmModel, feature) -> tuple[str, np.ndarray]:
 
     Ties go to the lowest class index in the model's class order.
     """
-    vec = feature.combined if isinstance(feature, FeatureVector) else np.asarray(feature, dtype=np.float64)
-    _require_finite(vec.reshape(1, -1))
-    scores = model.decision_scores(vec.reshape(-1))
+    scores = model.decision_scores(np.asarray(feature, dtype=np.float64).reshape(-1))
     return model.classes[int(np.argmax(scores))], scores
 
 
@@ -281,6 +282,7 @@ def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
     """
     X = _as_matrix(features)
     _require_finite(X)
+    # One row at a time: a batched product rounds differently in the last bits.
     scores = np.stack([model.decision_scores(row) for row in X])
     labels = [model.classes[i] for i in np.argmax(scores, axis=1)]
     return labels, scores

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifier import load_model, predict, save_model, train
-from .config import PipelineConfig, apply_overrides, load_config
+from .config import PipelineConfig, apply_overrides, config_from_dict, load_config
 from .core import (
     ThermactError,
     load_manifest,
@@ -168,8 +168,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _config_from_embedded(embedded: dict) -> PipelineConfig:
-    from .config import config_from_dict
-
     known = {k: v for k, v in embedded.items() if k in ("preprocess", "features", "svm", "eval")}
     return config_from_dict(known)
 

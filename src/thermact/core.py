@@ -1,16 +1,21 @@
-"""Frame and sequence containers plus dataset manifest I/O.
+"""The sequence container plus frame CSV and dataset manifest I/O.
 
-A recording is a sequence of 8x8 temperature grids. Frame files are plain
-CSV (one frame per row); which activity a recording shows, and who performed
-it, lives in a JSON manifest so recordings can be re-labeled without touching
-pixel data.
+A recording is a sequence of 8x8 temperature grids, held as one read-only
+(frames, 64) array with a (frames,) timestamp array; one helper holds the
+validity rules that construction and parsing both apply. Frame files are
+plain CSV (one frame per row); which activity a recording shows, and who
+performed it, lives in a JSON manifest so recordings can be re-labeled
+without touching pixel data. Loading a manifest parses every file once and
+keeps the labeled sequences, so later stages only look them up.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -68,44 +73,53 @@ def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class ThermalFrame:
-    """One 8x8 grid of temperatures (degrees Celsius), row-major.
+def _first_bad_frame(
+    pixels: np.ndarray, timestamps: np.ndarray, raw: bool
+) -> tuple[int, str] | None:
+    """Index of the first frame that breaks a validity rule, and the rule.
 
-    Frames are immutable; `pixels` is a read-only float64 array of length 64.
-    `timestamp_ms` is 0 when the source carried no timing information.
+    `pixels` is (F, 64) float64, `timestamps` (F,) float64. Every frame needs
+    64 finite pixels and a non-negative integer timestamp no smaller than the
+    one before it (equal stamps are legal: files without a timestamp column
+    are all 0); raw frames must lie within the sensor range. None if all hold.
     """
-
-    pixels: np.ndarray
-    timestamp_ms: int = 0
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64).reshape(-1)
-        if px.shape != (PIXEL_COUNT,):
-            raise ValueError(f"frame needs {PIXEL_COUNT} pixels, got {px.size}")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("frame contains non-finite pixel values")
-        if self.timestamp_ms < 0:
-            raise ValueError(f"negative timestamp: {self.timestamp_ms}")
-        object.__setattr__(self, "pixels", _frozen_array(px, (PIXEL_COUNT,)))
-        object.__setattr__(self, "timestamp_ms", int(self.timestamp_ms))
-
-    def grid(self) -> np.ndarray:
-        """The pixels as a read-only (8, 8) array."""
-        return self.pixels.reshape(GRID_SIZE, GRID_SIZE)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ThermalFrame):
-            return NotImplemented
-        return self.timestamp_ms == other.timestamp_ms and np.array_equal(
-            self.pixels, other.pixels
-        )
+    if pixels.ndim != 2 or pixels.shape[1] != PIXEL_COUNT:
+        return 0, f"needs {PIXEL_COUNT} pixels per frame, got shape {pixels.shape}"
+    if timestamps.shape != (len(pixels),):
+        return 0, f"needs one timestamp per frame, got shape {timestamps.shape}"
+    rules = [
+        (
+            ~((timestamps >= 0) & (timestamps < 2.0**63) & (timestamps == np.floor(timestamps))),
+            "timestamp must be a non-negative integer, got {ts:g}",
+        ),
+        (
+            np.concatenate(([False], timestamps[1:] < timestamps[:-1])),
+            "timestamp {ts:g} is earlier than the previous frame's {prev:g}",
+        ),
+        (~np.isfinite(pixels).all(axis=1), "non-finite pixel value"),
+    ]
+    if raw:
+        rules.append((
+            ((pixels < TEMP_MIN_C) | (pixels > TEMP_MAX_C)).any(axis=1),
+            f"raw temperature outside [{TEMP_MIN_C}, {TEMP_MAX_C}] C (min={{lo}}, max={{hi}})",
+        ))
+    # (row, rule number) of each broken rule's first row; ties go to the earlier rule.
+    broken = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
+    if not broken:
+        return None
+    i, k = min(broken)
+    return i, rules[k][1].format(
+        ts=timestamps[i], prev=timestamps[i - 1], lo=pixels[i].min(), hi=pixels[i].max()
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class ThermalSequence:
-    """Ordered frames of one recording plus its metadata.
+    """The frames of one recording plus its metadata.
 
+    `pixels` is a read-only (F, 64) float64 array, one row-major 8x8 grid of
+    temperatures (degrees Celsius) per frame; `timestamps_ms` is a read-only
+    (F,) int64 array, all 0 when the source carried no timing (the default).
     `stage` tracks whether the frames are raw sensor readings or have had a
     background subtracted; raw frames must lie within the sensor measurement
     range, subtracted frames may be negative. Labeled activity instances are
@@ -114,39 +128,33 @@ class ThermalSequence:
     model.
     """
 
-    frames: tuple[ThermalFrame, ...]
+    pixels: np.ndarray
+    timestamps_ms: np.ndarray | None = None
     label: str | None = None
     subject_id: str = ""
     session_id: str = ""
     stage: str = RAW
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if len(self.frames) < 1:
-            raise ValueError("sequence needs at least one frame")
         if self.stage not in (RAW, SUBTRACTED):
             raise ValueError(f"unknown processing stage: {self.stage!r}")
-        if self.stage == RAW:
-            for i, frame in enumerate(self.frames):
-                lo, hi = frame.pixels.min(), frame.pixels.max()
-                if lo < TEMP_MIN_C or hi > TEMP_MAX_C:
-                    raise ValueError(
-                        f"frame {i}: raw temperature outside "
-                        f"[{TEMP_MIN_C}, {TEMP_MAX_C}] C (min={lo}, max={hi})"
-                    )
+        pixels = np.array(self.pixels, dtype=np.float64)
+        if pixels.size == 0:
+            raise ValueError("sequence needs at least one frame")
+        stamps = np.zeros(pixels.shape[:1])
+        if self.timestamps_ms is not None:
+            stamps = np.array(self.timestamps_ms)
+        bad = _first_bad_frame(pixels, stamps.astype(np.float64), self.stage == RAW)
+        if bad is not None:
+            raise ValueError(f"frame {bad[0]}: {bad[1]}")
+        stamps = stamps.astype(np.int64)
+        pixels.flags.writeable = False
+        stamps.flags.writeable = False
+        object.__setattr__(self, "pixels", pixels)
+        object.__setattr__(self, "timestamps_ms", stamps)
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    def pixel_matrix(self) -> np.ndarray:
-        """Frames stacked as a (frame_count, 64) float64 array."""
-        return np.stack([f.pixels for f in self.frames])
-
-    def with_frames(
-        self, frames: tuple[ThermalFrame, ...], stage: str | None = None
-    ) -> "ThermalSequence":
-        """Copy of this sequence with new frames, metadata preserved."""
-        return replace(self, frames=frames, stage=stage if stage is not None else self.stage)
+        return len(self.pixels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThermalSequence):
@@ -156,8 +164,8 @@ class ThermalSequence:
             and self.subject_id == other.subject_id
             and self.session_id == other.session_id
             and self.stage == other.stage
-            and len(self.frames) == len(other.frames)
-            and all(a == b for a, b in zip(self.frames, other.frames))
+            and np.array_equal(self.timestamps_ms, other.timestamps_ms)
+            and np.array_equal(self.pixels, other.pixels)
         )
 
 
@@ -172,55 +180,62 @@ class ThermalSequence:
 def parse_sequence(source: bytes | str) -> ThermalSequence:
     """Parse frame CSV content into a raw, unlabeled sequence.
 
-    Raises SequenceFormatError naming the offending 1-based line for rows
-    with the wrong field count, non-numeric or non-finite values, raw
-    temperatures outside the sensor range, or if no data rows are present.
+    Raises SequenceFormatError naming the first offending 1-based line for
+    text that is not UTF-8, rows with the wrong field count, non-numeric or
+    non-finite values, a timestamp that is not a non-negative integer or is
+    earlier than the row before, raw temperatures outside the sensor range,
+    or if no data rows are present.
     """
     if isinstance(source, bytes):
-        text = source.decode("utf-8")
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = source[: exc.start].count(b"\n") + 1
+            raise SequenceFormatError(f"line {line}: not UTF-8 text ({exc.reason})") from None
     else:
         text = source
-    frames: list[ThermalFrame] = []
+    rows: list[list[float]] = []
+    stamps: list[float] = []
+    linenos: list[int] = []
+    error = None  # the row error that ended parsing, if any
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         fields = stripped.split(",")
         if len(fields) not in (PIXEL_COUNT, PIXEL_COUNT + 1):
-            raise SequenceFormatError(
+            error = (
                 f"line {lineno}: expected {PIXEL_COUNT} or {PIXEL_COUNT + 1} "
                 f"fields, got {len(fields)}"
             )
+            break
         try:
-            values = [float(f) for f in fields]
+            values = list(map(float, fields))
         except ValueError as exc:
-            raise SequenceFormatError(f"line {lineno}: non-numeric field ({exc})") from None
-        timestamp = 0
-        if len(values) == PIXEL_COUNT + 1:
-            ts = values[0]
-            if not np.isfinite(ts) or ts != int(ts) or ts < 0:
-                raise SequenceFormatError(
-                    f"line {lineno}: timestamp must be a non-negative integer, got {fields[0]}"
-                )
-            timestamp = int(ts)
-            values = values[1:]
-        pixels = np.array(values)
-        if not np.all(np.isfinite(pixels)):
-            raise SequenceFormatError(f"line {lineno}: non-finite pixel value")
-        if pixels.min() < TEMP_MIN_C or pixels.max() > TEMP_MAX_C:
-            raise SequenceFormatError(
-                f"line {lineno}: raw temperature outside "
-                f"[{TEMP_MIN_C}, {TEMP_MAX_C}] C"
-            )
-        frames.append(ThermalFrame(pixels=pixels, timestamp_ms=timestamp))
-    if not frames:
+            error = f"line {lineno}: non-numeric field ({exc})"
+            break
+        stamps.append(values.pop(0) if len(values) > PIXEL_COUNT else 0.0)
+        rows.append(values)
+        linenos.append(lineno)
+    pixels, timestamps = np.array(rows), np.array(stamps)
+    # A bad value in an earlier row is reported before the row error.
+    bad = _first_bad_frame(pixels, timestamps, raw=True) if rows else None
+    if bad is not None:
+        raise SequenceFormatError(f"line {linenos[bad[0]]}: {bad[1]}")
+    if error is not None:
+        raise SequenceFormatError(error)
+    if not rows:
         raise SequenceFormatError("no frame rows found (empty file)")
-    return ThermalSequence(frames=tuple(frames))
+    return ThermalSequence(pixels=pixels, timestamps_ms=timestamps)
 
 
 def read_sequence(path: str | Path) -> ThermalSequence:
-    """Read and parse a frame CSV file."""
-    return parse_sequence(Path(path).read_bytes())
+    """Read and parse a frame CSV file; a format error names the file."""
+    path = Path(path)
+    try:
+        return parse_sequence(path.read_bytes())
+    except SequenceFormatError as exc:
+        raise SequenceFormatError(f"{path}: {exc}") from None
 
 
 def serialize_sequence(seq: ThermalSequence) -> str:
@@ -230,10 +245,8 @@ def serialize_sequence(seq: ThermalSequence) -> str:
     reproduces the frames bit-exactly.
     """
     lines = ["# timestamp_ms," + ",".join(f"p{r}{c}" for r in range(8) for c in range(8))]
-    for frame in seq.frames:
-        lines.append(
-            str(frame.timestamp_ms) + "," + ",".join(repr(float(v)) for v in frame.pixels)
-        )
+    for stamp, row in zip(seq.timestamps_ms.tolist(), seq.pixels.tolist()):
+        lines.append(str(stamp) + "," + ",".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -271,6 +284,8 @@ class DatasetManifest:
     Construction validates the structural invariants (non-empty, labels drawn
     from `label_set`, unique paths); file-level checks happen in
     `load_manifest`. `root` is the directory entry paths are resolved against.
+    `recordings` maps each entry and background path to its parsed, labeled
+    sequence; `load_manifest` fills it, a manifest built in memory has none.
     """
 
     entries: tuple[ManifestEntry, ...]
@@ -278,24 +293,41 @@ class DatasetManifest:
     sensor_id: str = ""
     backgrounds: tuple[BackgroundEntry, ...] = ()
     root: Path | None = None
+    recordings: Mapping[str, ThermalSequence] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "label_set", tuple(self.label_set))
         object.__setattr__(self, "backgrounds", tuple(self.backgrounds))
+        object.__setattr__(self, "recordings", MappingProxyType(dict(self.recordings)))
         violations = _structural_violations(self.entries, self.label_set, self.backgrounds)
         if violations:
             raise ManifestError(violations)
 
     def resolve(self, path: str) -> Path:
-        p = Path(path)
-        if p.is_absolute() or self.root is None:
-            return p
-        return self.root / p
+        return _resolve(self.root, path)
+
+    def recording(self, path: str) -> ThermalSequence:
+        """The sequence `load_manifest` parsed for an entry or background path."""
+        try:
+            return self.recordings[path]
+        except KeyError:
+            raise ManifestError(
+                [f"no parsed recording for {path!r}: load the manifest with load_manifest"]
+            ) from None
 
     def subjects(self) -> tuple[str, ...]:
         """Distinct subject ids in first-appearance order."""
         return tuple(dict.fromkeys(e.subject_id for e in self.entries))
+
+
+def _resolve(root: Path | None, path: str) -> Path:
+    p = Path(path)
+    if p.is_absolute() or root is None:
+        return p
+    return root / p
 
 
 def _structural_violations(entries, label_set, backgrounds) -> list[str]:
@@ -329,7 +361,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     Every referenced frame file must exist and parse; activity entries must
     hold at least 2 frames. All violations are collected and reported
-    together in a single ManifestError.
+    together in a single ManifestError. Each file is parsed once: the
+    manifest keeps the labeled sequences in `recordings`.
     """
     path = Path(path)
     try:
@@ -378,15 +411,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     violations.extend(_structural_violations(entries, tuple(label_set), backgrounds))
 
     root = path.parent
-
-    def resolve(p: str) -> Path:
-        candidate = Path(p)
-        return candidate if candidate.is_absolute() else root / candidate
-
-    for entry in entries:
-        violations.extend(_file_violations(resolve(entry.path), min_frames=2))
-    for bg in backgrounds:
-        violations.extend(_file_violations(resolve(bg.path), min_frames=1))
+    recordings: dict[str, ThermalSequence] = {}
+    wanted = [
+        (e.path, 2, {"label": e.label, "subject_id": e.subject_id, "session_id": e.session_id})
+        for e in entries
+    ] + [(bg.path, 1, {"session_id": bg.session_id}) for bg in backgrounds]
+    for rel, min_frames, metadata in wanted:
+        seq, problem = _read_checked(_resolve(root, rel), min_frames)
+        if problem is not None:
+            violations.append(problem)
+        else:
+            recordings[rel] = replace(seq, **metadata)
 
     if violations:
         raise ManifestError(violations)
@@ -396,46 +431,31 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         sensor_id=sensor_id,
         backgrounds=tuple(backgrounds),
         root=root,
+        recordings=recordings,
     )
 
 
-def _file_violations(path: Path, min_frames: int) -> list[str]:
+def _read_checked(path: Path, min_frames: int) -> tuple[ThermalSequence | None, str | None]:
+    """The parsed file, or None and the violation that stops it."""
     if not path.is_file():
-        return [f"missing file: {path}"]
+        return None, f"missing file: {path}"
     try:
         seq = read_sequence(path)
     except SequenceFormatError as exc:
-        return [f"{path}: {exc}"]
+        return None, str(exc)
     if len(seq) < min_frames:
-        return [f"{path}: needs at least {min_frames} frames, has {len(seq)}"]
-    return []
+        return None, f"{path}: needs at least {min_frames} frames, has {len(seq)}"
+    return seq, None
 
 
 def load_sequences(manifest: DatasetManifest) -> list[ThermalSequence]:
-    """Parse every activity entry, attaching label and subject metadata.
-
-    Sequences come back in manifest order.
-    """
-    out = []
-    for entry in manifest.entries:
-        seq = read_sequence(manifest.resolve(entry.path))
-        out.append(
-            replace(
-                seq,
-                label=entry.label,
-                subject_id=entry.subject_id,
-                session_id=entry.session_id,
-            )
-        )
-    return out
+    """The labeled sequence of every activity entry, in manifest order."""
+    return [manifest.recording(e.path) for e in manifest.entries]
 
 
 def load_backgrounds(manifest: DatasetManifest) -> dict[str, ThermalSequence]:
     """Background clips keyed by session id ("" = global fallback)."""
-    return {
-        bg.session_id: replace(read_sequence(manifest.resolve(bg.path)), session_id=bg.session_id)
-        for bg in manifest.backgrounds
-    }
+    return {bg.session_id: manifest.recording(bg.path) for bg in manifest.backgrounds}
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:

@@ -26,6 +26,10 @@ from .preprocess import (
 
 FALL_LABEL = "fall"
 
+# Sequences per feature_matrix call in prepare_features: the resampled pixels
+# of a chunk, not of the whole dataset, are held at once.
+FEATURE_CHUNK = 32
+
 Fold = tuple[np.ndarray, np.ndarray]
 
 
@@ -222,7 +226,8 @@ def prepare_features(
 
     Returns the (N, D) feature matrix and the true labels, in manifest
     order. Features are deterministic per sequence, so computing them once
-    up front is leak-free; only standardization is fold-dependent.
+    up front is leak-free; only standardization is fold-dependent. Each row
+    is the same whichever chunk it is computed in.
     """
     feature_config = feature_config or FeatureConfig(sequence_len=target_len)
     if feature_config.sequence_len != target_len:
@@ -231,16 +236,19 @@ def prepare_features(
     if not backgrounds:
         raise ThermactError("manifest declares no background clip")
     sequences = load_sequences(manifest)
-    processed = []
-    for entry, seq in zip(manifest.entries, sequences):
-        bg = backgrounds.get(entry.session_id, backgrounds.get(""))
-        if bg is None:
-            raise ThermactError(
-                f"no background clip for session {entry.session_id!r} and no global fallback"
-            )
-        seq = subtract_background(seq, bg)
-        processed.append(resample_equal_interval(seq, target_len))
-    X = feature_matrix(processed, feature_config)
+    X = np.empty((len(sequences), feature_config.vector_length))
+    for lo in range(0, len(sequences), FEATURE_CHUNK):
+        processed = []
+        chunk = slice(lo, lo + FEATURE_CHUNK)
+        for entry, seq in zip(manifest.entries[chunk], sequences[chunk]):
+            bg = backgrounds.get(entry.session_id, backgrounds.get(""))
+            if bg is None:
+                raise ThermactError(
+                    f"no background clip for session {entry.session_id!r} and no global fallback"
+                )
+            seq = subtract_background(seq, bg)
+            processed.append(resample_equal_interval(seq, target_len))
+        X[chunk] = feature_matrix(processed, feature_config)
     return X, [e.label for e in manifest.entries]
 
 

@@ -11,7 +11,8 @@ Two blocks are concatenated into one vector per sequence:
 
 The orthonormal convention (transform matrix times its transpose is the
 identity) is used throughout, so energy is preserved and tolerances are
-unit-free.
+unit-free. `feature_matrix` computes the rows of many sequences at once;
+`extract_features` is its one-row case, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -21,16 +22,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GRID_SIZE, SUBTRACTED, ThermalFrame, ThermalSequence, _frozen_array
+from .core import GRID_SIZE, SUBTRACTED, ThermalSequence
 
 DEFAULT_TEMPORAL_K = 5
 DEFAULT_SPATIAL_BLOCK = 3
 
 
 @lru_cache(maxsize=128)
-def _dct_matrix(n: int) -> np.ndarray:
-    # Orthonormal DCT-II: entry (u, t) = c(u) * cos(pi * (2t + 1) * u / (2n)),
-    # c(0) = sqrt(1/n), c(u>0) = sqrt(2/n).
+def dct_matrix(n: int) -> np.ndarray:
+    """The read-only orthonormal DCT-II matrix of size n (cached per n).
+
+    Entry (u, t) is c(u) * cos(pi * (2t + 1) * u / (2n)), with
+    c(0) = sqrt(1/n) and c(u>0) = sqrt(2/n).
+    """
+    if n < 1:
+        raise ValueError("basis size must be >= 1")
     t = np.arange(n)
     u = np.arange(n).reshape(-1, 1)
     matrix = np.cos(np.pi * u * (2 * t + 1) / (2 * n))
@@ -38,20 +44,6 @@ def _dct_matrix(n: int) -> np.ndarray:
     matrix[1:, :] *= np.sqrt(2.0 / n)
     matrix.flags.writeable = False
     return matrix
-
-
-@dataclass(frozen=True, eq=False)
-class DctBasis:
-    """Orthonormal DCT-II transform matrix of a given size."""
-
-    size: int
-    matrix: np.ndarray
-
-
-def dct_basis(n: int) -> DctBasis:
-    if n < 1:
-        raise ValueError("basis size must be >= 1")
-    return DctBasis(size=n, matrix=_dct_matrix(n))
 
 
 @dataclass(frozen=True)
@@ -80,29 +72,6 @@ class FeatureConfig:
         return 64 * self.temporal_k + self.spatial_block**2 * self.sequence_len
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Temporal and spatial magnitude blocks for one sequence."""
-
-    temporal: np.ndarray
-    spatial: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "temporal", _frozen_array(self.temporal, (self.temporal.size,))
-        )
-        object.__setattr__(
-            self, "spatial", _frozen_array(self.spatial, (self.spatial.size,))
-        )
-
-    @property
-    def combined(self) -> np.ndarray:
-        return np.concatenate([self.temporal, self.spatial])
-
-    def __len__(self) -> int:
-        return self.temporal.size + self.spatial.size
-
-
 def temporal_feature(pixel_series: np.ndarray, k: int) -> np.ndarray:
     """Magnitudes of the k lowest-frequency DCT-II coefficients of a series."""
     series = np.asarray(pixel_series, dtype=np.float64).reshape(-1)
@@ -112,56 +81,61 @@ def temporal_feature(pixel_series: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k ({k}) exceeds series length ({series.size})")
     if not np.all(np.isfinite(series)):
         raise ValueError("series contains non-finite values")
-    basis = _dct_matrix(series.size)
+    basis = dct_matrix(series.size)
     return np.abs(basis[:k] @ series)
 
 
-def spatial_feature(frame: ThermalFrame | np.ndarray, b: int) -> np.ndarray:
+def spatial_feature(frame: np.ndarray, b: int) -> np.ndarray:
     """Magnitudes of the top-left b x b block of a frame's 2-D DCT-II.
 
-    The 2-D transform is computed separably, applying the 8-point basis to
-    rows and columns. The block is returned flattened row-major.
+    `frame` is an (8, 8) grid or its 64 pixels in row-major order. The 2-D
+    transform is computed separably, applying the 8-point basis to rows and
+    columns. The block is returned flattened row-major.
     """
     if not 1 <= b <= GRID_SIZE:
         raise ValueError(f"block size must be in [1, {GRID_SIZE}]")
-    grid = frame.grid() if isinstance(frame, ThermalFrame) else np.asarray(frame, dtype=np.float64)
-    grid = grid.reshape(GRID_SIZE, GRID_SIZE)
-    basis = _dct_matrix(GRID_SIZE)
+    grid = np.asarray(frame, dtype=np.float64).reshape(GRID_SIZE, GRID_SIZE)
+    basis = dct_matrix(GRID_SIZE)
     coeffs = basis @ grid @ basis.T
     return np.abs(coeffs[:b, :b]).reshape(-1)
-
-
-def extract_features(seq: ThermalSequence, cfg: FeatureConfig | None = None) -> FeatureVector:
-    """Full feature vector of a subtracted, resampled sequence.
-
-    The sequence must already be background-subtracted and have exactly
-    `cfg.sequence_len` frames.
-    """
-    cfg = cfg or FeatureConfig()
-    if seq.stage != SUBTRACTED:
-        raise ValueError("features require a background-subtracted sequence")
-    if len(seq) != cfg.sequence_len:
-        raise ValueError(
-            f"sequence has {len(seq)} frames, config expects {cfg.sequence_len}"
-        )
-    matrix = seq.pixel_matrix()  # (F, 64)
-
-    time_basis = _dct_matrix(cfg.sequence_len)
-    # (k, 64) coefficients -> per-pixel rows -> pixel-major flat layout.
-    temporal = np.abs(time_basis[: cfg.temporal_k] @ matrix).T.reshape(-1)
-
-    grid_basis = _dct_matrix(GRID_SIZE)
-    grids = matrix.reshape(-1, GRID_SIZE, GRID_SIZE)
-    coeffs = np.einsum("ur,frc,vc->fuv", grid_basis, grids, grid_basis)
-    b = cfg.spatial_block
-    spatial = np.abs(coeffs[:, :b, :b]).reshape(-1)
-
-    return FeatureVector(temporal=temporal, spatial=spatial)
 
 
 def feature_matrix(
     sequences: list[ThermalSequence], cfg: FeatureConfig | None = None
 ) -> np.ndarray:
-    """Stacked combined feature vectors, one row per sequence."""
+    """One feature row per sequence: the temporal block, then the spatial block.
+
+    Every sequence must already be background-subtracted and have exactly
+    `cfg.sequence_len` frames. The pixels of all N sequences are stacked as
+    one (N, F, 64) array and both blocks come from one product each.
+    """
     cfg = cfg or FeatureConfig()
-    return np.stack([extract_features(s, cfg).combined for s in sequences])
+    for seq in sequences:
+        if seq.stage != SUBTRACTED:
+            raise ValueError("features require a background-subtracted sequence")
+        if len(seq) != cfg.sequence_len:
+            raise ValueError(
+                f"sequence has {len(seq)} frames, config expects {cfg.sequence_len}"
+            )
+    stack = np.stack([seq.pixels for seq in sequences])  # (N, F, 64)
+    n = len(stack)
+
+    # (N, k, 64) coefficients -> per-pixel rows -> pixel-major flat layout.
+    temporal = np.abs(np.matmul(dct_matrix(cfg.sequence_len)[: cfg.temporal_k], stack))
+    temporal = temporal.transpose(0, 2, 1).reshape(n, -1)
+
+    # Only the kept b x b corner is computed. This einsum gives each sequence
+    # the bits a one-sequence einsum gives; the separable form
+    # basis @ grids @ basis.T rounds differently.
+    corner_basis = dct_matrix(GRID_SIZE)[: cfg.spatial_block]
+    grids = stack.reshape(n, -1, GRID_SIZE, GRID_SIZE)
+    spatial = np.abs(np.einsum("ur,nfrc,vc->nfuv", corner_basis, grids, corner_basis))
+
+    return np.hstack([temporal, spatial.reshape(n, -1)])
+
+
+def extract_features(seq: ThermalSequence, cfg: FeatureConfig | None = None) -> np.ndarray:
+    """The read-only feature vector of one sequence: its `feature_matrix` row."""
+    row = feature_matrix([seq], cfg)[0]
+    row.flags.writeable = False
+    return row

@@ -3,12 +3,13 @@
 Empty-scene clips give a per-pixel mean background; subtracting it from a
 recording makes body heat dominate the signal. Resampling picks frames at
 equal intervals so every recording reaches a common length without
-interpolation blur.
+interpolation blur. Each step is one operation on a sequence's (frames, 64)
+pixel array and returns a new sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .core import (
     TEMP_MAX_C,
     TEMP_MIN_C,
     PIXEL_COUNT,
-    ThermalFrame,
     ThermalSequence,
     _frozen_array,
 )
@@ -50,9 +50,8 @@ def estimate_background(empty_scene: ThermalSequence) -> BackgroundModel:
     """Average each pixel over all frames of a raw empty-scene clip."""
     if empty_scene.stage != RAW:
         raise ValueError("background must be estimated from a raw sequence")
-    matrix = empty_scene.pixel_matrix()
     return BackgroundModel(
-        mean_pixels=matrix.mean(axis=0), source_frame_count=len(empty_scene)
+        mean_pixels=empty_scene.pixels.mean(axis=0), source_frame_count=len(empty_scene)
     )
 
 
@@ -64,22 +63,7 @@ def subtract_background(seq: ThermalSequence, bg: BackgroundModel) -> ThermalSeq
     """
     if seq.stage != RAW:
         raise ValueError("sequence is already background-subtracted")
-    frames = tuple(
-        ThermalFrame(pixels=f.pixels - bg.mean_pixels, timestamp_ms=f.timestamp_ms)
-        for f in seq.frames
-    )
-    return seq.with_frames(frames, stage=SUBTRACTED)
-
-
-def add_background(seq: ThermalSequence, bg: BackgroundModel) -> ThermalSequence:
-    """Inverse of `subtract_background`; restores the raw sequence exactly."""
-    if seq.stage != SUBTRACTED:
-        raise ValueError("sequence is not background-subtracted")
-    frames = tuple(
-        ThermalFrame(pixels=f.pixels + bg.mean_pixels, timestamp_ms=f.timestamp_ms)
-        for f in seq.frames
-    )
-    return seq.with_frames(frames, stage=RAW)
+    return replace(seq, pixels=seq.pixels - bg.mean_pixels, stage=SUBTRACTED)
 
 
 def resample_indices(length: int, target_len: int) -> np.ndarray:
@@ -107,5 +91,4 @@ def resample_equal_interval(seq: ThermalSequence, target_len: int) -> ThermalSeq
     duplicating frames through the same index formula.
     """
     indices = resample_indices(len(seq), target_len)
-    frames = tuple(seq.frames[i] for i in indices)
-    return seq.with_frames(frames)
+    return replace(seq, pixels=seq.pixels[indices], timestamps_ms=seq.timestamps_ms[indices])

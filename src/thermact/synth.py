@@ -37,7 +37,6 @@ from .core import (
     BackgroundEntry,
     DatasetManifest,
     ManifestEntry,
-    ThermalFrame,
     ThermalSequence,
     _frozen_array,
     write_manifest,
@@ -226,11 +225,9 @@ def render_sequence(
     """Render a script into a raw labeled sequence."""
     values, _ = render_frames(scene, script, seed)
     times = frame_times(scene, script)
-    frames = tuple(
-        ThermalFrame(pixels=row, timestamp_ms=int(round(1000.0 * t)))
-        for row, t in zip(values, times)
+    return ThermalSequence(
+        pixels=values, timestamps_ms=np.round(1000.0 * times), label=script.label, stage=RAW
     )
-    return ThermalSequence(frames=frames, label=script.label, stage=RAW)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +425,10 @@ def generate_corpus(
     bg_rng = np.random.default_rng(children[0])
     bg_values, c = render_frames(scene, empty_scene_script(), bg_rng)
     clamped += c
-    bg_frames = tuple(
-        ThermalFrame(pixels=row, timestamp_ms=int(round(1000.0 * i / scene.frame_rate_hz)))
-        for i, row in enumerate(bg_values)
+    bg_stamps = np.round(1000.0 * np.arange(len(bg_values)) / scene.frame_rate_hz)
+    write_sequence(
+        ThermalSequence(pixels=bg_values, timestamps_ms=bg_stamps), out / "background.csv"
     )
-    write_sequence(ThermalSequence(frames=bg_frames), out / "background.csv")
 
     entries = []
     for si in range(1, subjects + 1):
@@ -449,13 +445,12 @@ def generate_corpus(
                 script = builtin_scripts(rng, profile)[label]
                 values, c = render_frames(scene, script, rng)
                 clamped += c
-                times = frame_times(scene, script)
-                frames = tuple(
-                    ThermalFrame(pixels=row, timestamp_ms=int(round(1000.0 * t)))
-                    for row, t in zip(values, times)
-                )
                 seq = ThermalSequence(
-                    frames=frames, label=label, subject_id=subject_id, session_id=session_id
+                    pixels=values,
+                    timestamps_ms=np.round(1000.0 * frame_times(scene, script)),
+                    label=label,
+                    subject_id=subject_id,
+                    session_id=session_id,
                 )
                 name = f"{session_id}_{label}.csv"
                 write_sequence(seq, out / name)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from thermact.features import dct_matrix
+
 
 def naive_dct(series):
     """Direct evaluation of the orthonormal DCT-II definition sum."""
@@ -34,6 +36,22 @@ def naive_dct2(grid):
                     )
             out[u, v] = cu * cv * acc
     return out
+
+
+def features_one_sequence(seq, cfg):
+    """One sequence's feature vector, computed from its own (F, 64) pixels.
+
+    The per-sequence path the batched `feature_matrix` replaced: a 2-D
+    matrix product for the temporal block and a one-sequence einsum for the
+    spatial block, concatenated.
+    """
+    matrix = seq.pixels
+    temporal = np.abs(dct_matrix(cfg.sequence_len)[: cfg.temporal_k] @ matrix).T.reshape(-1)
+    grid_basis = dct_matrix(8)
+    coeffs = np.einsum("ur,frc,vc->fuv", grid_basis, matrix.reshape(-1, 8, 8), grid_basis)
+    b = cfg.spatial_block
+    spatial = np.abs(coeffs[:, :b, :b]).reshape(-1)
+    return np.concatenate([temporal, spatial])
 
 
 def pegasos_binary(Zb, y, cfg, objectives=None):

@@ -22,8 +22,8 @@ from thermact.evaluate import (
     run_pipeline_cv,
     stratified_kfold_split,
 )
-from thermact.features import FeatureConfig, dct_basis, extract_features
-from thermact.core import ThermalFrame, ThermalSequence
+from thermact.features import FeatureConfig, dct_matrix, extract_features
+from thermact.core import ThermalSequence
 from thermact.synth import generate_corpus, toy_clusters
 
 INFRA_ENV = "THERMACT_INFRA_ADL2018_MANIFEST"
@@ -51,7 +51,7 @@ def test_criterion_1_dct_correctness():
     rng = np.random.default_rng(2024)
     checked = 0
     for n in range(1, 65):
-        basis = dct_basis(n).matrix
+        basis = dct_matrix(n)
         assert np.abs(basis @ basis.T - np.eye(n)).max() < 1e-9
         for _ in range(2):
             x = rng.normal(0.0, 2.0, n)
@@ -63,7 +63,7 @@ def test_criterion_1_dct_correctness():
     assert checked >= 100
     # 2-D transform against the O(n^4) definition sum
     grid = rng.normal(0.0, 1.0, (8, 8))
-    m8 = dct_basis(8).matrix
+    m8 = dct_matrix(8)
     assert np.abs(m8 @ grid @ m8.T - naive_dct2(grid)).max() < 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
@@ -77,13 +77,11 @@ def test_criterion_2_feature_contract():
     matrix = rng.normal(0.0, 1.0, (20, 64))
 
     def as_seq(m):
-        return ThermalSequence(
-            frames=tuple(ThermalFrame(pixels=row) for row in m), stage="subtracted"
-        )
+        return ThermalSequence(pixels=m, stage="subtracted")
 
     vec = extract_features(as_seq(matrix), cfg)
     assert len(vec) == 500
-    assert vec.temporal.size == 320 and vec.spatial.size == 180
+    assert vec[:320].size == 320 and vec[320:].size == 180
 
     shifted = extract_features(as_seq(matrix + 3.7), cfg)
     non_dc_t = np.ones((64, 5), dtype=bool)
@@ -91,14 +89,14 @@ def test_criterion_2_feature_contract():
     non_dc_s = np.ones((20, 3, 3), dtype=bool)
     non_dc_s[:, 0, 0] = False
     drift = max(
-        np.abs((vec.temporal - shifted.temporal).reshape(64, 5)[non_dc_t]).max(),
-        np.abs((vec.spatial - shifted.spatial).reshape(20, 3, 3)[non_dc_s]).max(),
+        np.abs((vec[:320] - shifted[:320]).reshape(64, 5)[non_dc_t]).max(),
+        np.abs((vec[320:] - shifted[320:]).reshape(20, 3, 3)[non_dc_s]).max(),
     )
     assert drift < 1e-9
 
     for alpha in (-2.5, 0.3, 4.0):
         scaled = extract_features(as_seq(alpha * matrix), cfg)
-        assert np.abs(scaled.combined - abs(alpha) * vec.combined).max() < 1e-9
+        assert np.abs(scaled - abs(alpha) * vec).max() < 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     announce(f"2 feature contract (len 500, {elapsed:.2f}s)")

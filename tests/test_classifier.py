@@ -259,6 +259,18 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="non-finite"):
             predict(model, query)
 
+    def test_decision_scores_rejects(self, clusters):
+        X, labels = clusters
+        model = train(X, labels)
+        query = X[20].copy()
+        query[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            model.decision_scores(query)
+        queries = X[:6].copy()
+        queries[4, 1] = np.inf
+        with pytest.raises(ValueError, match="row 4"):
+            model.decision_scores(queries)
+
     def test_predict_batch_names_the_row(self, clusters):
         X, labels = clusters
         model = train(X, labels)

@@ -247,7 +247,7 @@ class TestTrainPredict:
         real = cli.extract_features
 
         def nan_features(seq, cfg):
-            vector = real(seq, cfg).combined.copy()
+            vector = real(seq, cfg).copy()
             vector[7] = np.nan
             return vector
 
@@ -257,6 +257,33 @@ class TestTrainPredict:
         assert "fall" not in captured.out
         assert "s01r1_fall.csv" in captured.err and "non-finite" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_non_utf8_sequence_is_an_error(self, corpus_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe" + (corpus_dir / "s01r1_fall.csv").read_bytes())
+        capsys.readouterr()
+        code = main(
+            ["predict", "--model", str(model_path), "--background",
+             str(corpus_dir / "background.csv"), str(bad)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: line 1: not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_manifest_file_is_an_error(self, corpus_dir, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        (data / "s02r1_walk_left_right.csv").write_bytes(b"0,\xff\xfe")
+        code = main(["evaluate", "--data", str(data / "manifest.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "s02r1_walk_left_right.csv: line 1: not UTF-8" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("config", [[], "svm", {"svm": 5}])
     def test_malformed_model_config_is_an_error(self, corpus_dir, tmp_path, capsys, config):

@@ -12,11 +12,12 @@ from thermact.core import (
     ManifestEntry,
     ManifestError,
     SequenceFormatError,
-    ThermalFrame,
     ThermalSequence,
+    load_backgrounds,
     load_manifest,
     load_sequences,
     parse_sequence,
+    read_sequence,
     serialize_sequence,
     write_manifest,
     write_sequence,
@@ -24,55 +25,71 @@ from thermact.core import (
 from thermact.synth import SceneParams, builtin_scripts, render_sequence
 
 
-def make_frame(value=20.0, ts=0):
-    return ThermalFrame(pixels=np.full(64, value), timestamp_ms=ts)
+def constant_sequence(*values, **kwargs):
+    """One frame per value, every pixel of a frame at that value."""
+    pixels = np.repeat(np.array(values, dtype=float)[:, None], 64, axis=1)
+    return ThermalSequence(pixels=pixels, **kwargs)
 
 
 class TestThermalFrame:
+    """The per-frame rules, on one-frame sequences."""
+
     def test_requires_64_pixels(self):
         with pytest.raises(ValueError, match="64"):
-            ThermalFrame(pixels=np.zeros(63))
+            ThermalSequence(pixels=np.zeros((1, 63)))
 
     def test_rejects_non_finite(self):
-        px = np.zeros(64)
-        px[5] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            ThermalFrame(pixels=px)
+        px = np.zeros((1, 64))
+        px[0, 5] = np.nan
+        with pytest.raises(ValueError, match="frame 0: non-finite"):
+            ThermalSequence(pixels=px)
 
     def test_rejects_negative_timestamp(self):
-        with pytest.raises(ValueError):
-            make_frame(ts=-1)
+        with pytest.raises(ValueError, match="frame 0: timestamp"):
+            constant_sequence(20.0, timestamps_ms=[-1])
 
     def test_pixels_are_immutable(self):
-        frame = make_frame()
+        seq = constant_sequence(20.0)
         with pytest.raises(ValueError):
-            frame.pixels[0] = 99.0
+            seq.pixels[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            seq.timestamps_ms[0] = 5
 
     def test_grid_view(self):
-        frame = ThermalFrame(pixels=np.arange(64, dtype=float))
-        assert frame.grid().shape == (8, 8)
-        assert frame.grid()[1, 0] == 8.0
+        seq = ThermalSequence(pixels=np.arange(64, dtype=float).reshape(1, 64))
+        grid = seq.pixels[0].reshape(8, 8)
+        assert grid[1, 0] == 8.0
 
 
 class TestThermalSequence:
     def test_raw_range_enforced(self):
-        with pytest.raises(ValueError, match="raw temperature"):
-            ThermalSequence(frames=(ThermalFrame(pixels=np.full(64, 100.0)),))
+        with pytest.raises(ValueError, match="frame 1: raw temperature"):
+            constant_sequence(20.0, 100.0)
 
     def test_subtracted_may_be_negative(self):
-        frame = ThermalFrame(pixels=np.full(64, -3.0))
-        seq = ThermalSequence(frames=(frame,), stage="subtracted")
+        seq = constant_sequence(-3.0, stage="subtracted")
         assert len(seq) == 1
 
     def test_needs_a_frame(self):
         with pytest.raises(ValueError):
-            ThermalSequence(frames=())
+            ThermalSequence(pixels=np.zeros((0, 64)))
 
     def test_pixel_matrix_shape(self):
-        seq = ThermalSequence(frames=(make_frame(20.0), make_frame(21.0)))
-        matrix = seq.pixel_matrix()
-        assert matrix.shape == (2, 64)
-        assert matrix[1, 0] == 21.0
+        seq = constant_sequence(20.0, 21.0)
+        assert seq.pixels.shape == (2, 64)
+        assert seq.pixels[1, 0] == 21.0
+        assert seq.timestamps_ms.dtype == np.int64
+        assert list(seq.timestamps_ms) == [0, 0]
+
+    def test_decreasing_timestamp_rejected(self):
+        with pytest.raises(ValueError, match="frame 2: timestamp 3"):
+            constant_sequence(20.0, 20.0, 20.0, timestamps_ms=[0, 5, 3])
+
+    def test_input_arrays_are_copied(self):
+        pixels = np.full((2, 64), 20.0)
+        seq = ThermalSequence(pixels=pixels)
+        pixels[0, 0] = 30.0
+        assert seq.pixels[0, 0] == 20.0
 
 
 class TestParseSequence:
@@ -80,13 +97,13 @@ class TestParseSequence:
         text = "\n".join(",".join(["20.0"] * 64) for _ in range(10))
         seq = parse_sequence(text)
         assert len(seq) == 10
-        assert all(np.all(f.pixels == 20.0) for f in seq.frames)
-        assert all(f.timestamp_ms == 0 for f in seq.frames)
+        assert np.all(seq.pixels == 20.0)
+        assert np.all(seq.timestamps_ms == 0)
 
     def test_timestamp_column(self):
         text = "100," + ",".join(["20.0"] * 64)
         seq = parse_sequence(text)
-        assert seq.frames[0].timestamp_ms == 100
+        assert seq.timestamps_ms[0] == 100
 
     def test_wrong_arity_names_line(self):
         good = ",".join(["20.0"] * 64)
@@ -117,6 +134,38 @@ class TestParseSequence:
         row = ",".join(["20.0"] * 64)
         assert len(parse_sequence(row.encode())) == 1
 
+    def test_non_utf8_names_line(self):
+        row = ",".join(["20.0"] * 64)
+        with pytest.raises(SequenceFormatError, match="line 2: not UTF-8"):
+            parse_sequence(row.encode() + b"\n\xff\xfe" + row.encode())
+
+    def test_decreasing_timestamp_names_line(self):
+        rows = [f"{ts}," + ",".join(["20.0"] * 64) for ts in (0, 5, 3)]
+        with pytest.raises(SequenceFormatError, match="line 3: timestamp 3"):
+            parse_sequence("\n".join(rows))
+
+    def test_equal_timestamps_allowed(self):
+        rows = [f"{ts}," + ",".join(["20.0"] * 64) for ts in (0, 5, 5)]
+        assert list(parse_sequence("\n".join(rows)).timestamps_ms) == [0, 5, 5]
+
+    @pytest.mark.parametrize("stamp", ["-1", "1.5", "nan", "inf"])
+    def test_bad_timestamp_names_line(self, stamp):
+        rows = ["0," + ",".join(["20.0"] * 64), f"{stamp}," + ",".join(["20.0"] * 64)]
+        with pytest.raises(SequenceFormatError, match="line 2: timestamp must be"):
+            parse_sequence("\n".join(rows))
+
+    def test_first_bad_line_wins(self):
+        # A value error on line 1 is reported ahead of the arity error on line 2.
+        rows = [",".join(["81.0"] * 64), ",".join(["20.0"] * 3)]
+        with pytest.raises(SequenceFormatError, match="line 1: raw temperature"):
+            parse_sequence("\n".join(rows))
+
+    def test_read_sequence_names_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(SequenceFormatError, match="bad.csv: line 1: not UTF-8"):
+            read_sequence(path)
+
 
 class TestRoundTrip:
     def test_generator_round_trip_bit_exact(self):
@@ -125,19 +174,17 @@ class TestRoundTrip:
         seq = render_sequence(scene, script, seed=3)
         parsed = parse_sequence(serialize_sequence(seq))
         assert len(parsed) == len(seq)
-        for a, b in zip(parsed.frames, seq.frames):
-            assert a.timestamp_ms == b.timestamp_ms
-            assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(parsed.timestamps_ms, seq.timestamps_ms)
+        assert np.array_equal(parsed.pixels, seq.pixels)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_round_trip_property(self, seed):
         rng = np.random.default_rng(seed)
-        frames = tuple(
-            ThermalFrame(pixels=rng.uniform(0.0, 80.0, 64), timestamp_ms=int(100 * i))
-            for i in range(rng.integers(1, 6))
+        n = rng.integers(1, 6)
+        seq = ThermalSequence(
+            pixels=rng.uniform(0.0, 80.0, (n, 64)), timestamps_ms=100 * np.arange(n)
         )
-        seq = ThermalSequence(frames=frames)
         assert parse_sequence(serialize_sequence(seq)) == seq
 
 
@@ -147,12 +194,12 @@ def _write_corpus(tmp_path, n_subjects=8, n_sessions=3, labels=ADL7_LABELS):
         for r in range(n_sessions):
             for label in labels:
                 name = f"s{s}_r{r}_{label}.csv"
-                seq = ThermalSequence(frames=(make_frame(20.0), make_frame(21.0)))
+                seq = constant_sequence(20.0, 21.0)
                 write_sequence(seq, tmp_path / name)
                 entries.append(
                     {"path": name, "label": label, "subject": f"s{s}", "session": f"s{s}r{r}"}
                 )
-    bg = ThermalSequence(frames=(make_frame(19.0),))
+    bg = constant_sequence(19.0)
     write_sequence(bg, tmp_path / "bg.csv")
     entries.append({"path": "bg.csv", "role": "background"})
     manifest = {"label_set": list(labels), "sensor_id": "test", "entries": entries}
@@ -245,6 +292,68 @@ class TestManifest:
         )
         with pytest.raises(ManifestError, match="at least 2 frames"):
             load_manifest(path)
+
+    def test_non_utf8_file_is_one_of_the_violations(self, tmp_path):
+        path = _write_corpus(tmp_path, n_subjects=1, n_sessions=1)
+        (tmp_path / "s0_r0_fall.csv").write_bytes(b"\xff\xfe20.0")
+        (tmp_path / "s0_r0_sit_still.csv").unlink()
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        violations = excinfo.value.violations
+        assert len(violations) == 2
+        assert any("s0_r0_fall.csv: line 1: not UTF-8" in v for v in violations)
+        assert any("missing file" in v and "s0_r0_sit_still.csv" in v for v in violations)
+
+    def test_parses_each_file_once(self, tmp_path, monkeypatch):
+        import thermact.core as core
+        from thermact.evaluate import prepare_features
+
+        path = _write_corpus(tmp_path, n_subjects=2, n_sessions=1)
+        calls = []
+        real = core.read_sequence
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(core, "read_sequence", counting)
+        manifest = load_manifest(path)
+        prepare_features(manifest)
+        assert len(calls) == len(manifest.entries) + len(manifest.backgrounds) == 15
+        assert len(set(calls)) == 15
+
+    def test_recordings_are_the_parsed_files(self, tmp_path):
+        manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))
+        (seq, *_), backgrounds = load_sequences(manifest), load_backgrounds(manifest)
+        entry = manifest.entries[0]
+        assert seq == ThermalSequence(
+            pixels=read_sequence(manifest.resolve(entry.path)).pixels,
+            label=entry.label,
+            subject_id=entry.subject_id,
+            session_id=entry.session_id,
+        )
+        assert backgrounds[""] == read_sequence(tmp_path / "bg.csv")
+        assert "recordings=" not in repr(manifest)
+        assert manifest == DatasetManifest(
+            entries=manifest.entries,
+            label_set=manifest.label_set,
+            sensor_id=manifest.sensor_id,
+            backgrounds=manifest.backgrounds,
+            root=manifest.root,
+        )
+        with pytest.raises(TypeError):
+            manifest.recordings["x"] = seq
+
+    def test_in_memory_manifest_has_no_recordings(self):
+        manifest = DatasetManifest(
+            entries=(ManifestEntry(path="a.csv", label="fall", subject_id="s", session_id="r"),),
+            label_set=("fall",),
+            backgrounds=(BackgroundEntry(path="bg.csv"),),
+        )
+        with pytest.raises(ManifestError, match="a.csv"):
+            load_sequences(manifest)
+        with pytest.raises(ManifestError, match="bg.csv"):
+            load_backgrounds(manifest)
 
     def test_load_sequences_attaches_metadata(self, tmp_path):
         manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))

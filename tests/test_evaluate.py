@@ -285,6 +285,17 @@ class TestRunPipelineCv:
             report.confusion.counts, np.diag([4, 4, 4])
         )
 
+    @pytest.mark.parametrize("chunk", [1, 5, 20])
+    def test_features_do_not_depend_on_chunking(self, small_corpus, monkeypatch, chunk):
+        import thermact.evaluate as evaluate
+
+        whole, labels = evaluate.prepare_features(small_corpus)
+        monkeypatch.setattr(evaluate, "FEATURE_CHUNK", chunk)
+        chunked, chunked_labels = evaluate.prepare_features(small_corpus)
+        assert len(small_corpus.entries) == 21
+        assert chunked_labels == labels
+        assert np.array_equal(chunked, whole)
+
     def test_report_json_round_trip(self, small_corpus):
         report = run_pipeline_cv(small_corpus, loso_split(small_corpus))
         payload = report.to_json_dict()

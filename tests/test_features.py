@@ -3,50 +3,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermact.core import ThermalFrame, ThermalSequence
+from thermact.core import ThermalSequence, load_manifest, load_sequences
+from thermact.evaluate import build_background_models
 from thermact.features import (
     FeatureConfig,
-    dct_basis,
+    dct_matrix,
     extract_features,
     feature_matrix,
     spatial_feature,
     temporal_feature,
 )
+from thermact.preprocess import resample_equal_interval, subtract_background
+from thermact.synth import generate_corpus
 
 
-from oracles import naive_dct, naive_dct2
+from oracles import features_one_sequence, naive_dct, naive_dct2
 
 
 def subtracted_sequence(matrix):
-    frames = tuple(ThermalFrame(pixels=row) for row in matrix)
-    return ThermalSequence(frames=frames, stage="subtracted")
+    return ThermalSequence(pixels=matrix, stage="subtracted")
 
 
 class TestDctBasis:
     def test_n1(self):
-        assert np.array_equal(dct_basis(1).matrix, [[1.0]])
+        assert np.array_equal(dct_matrix(1), [[1.0]])
 
     def test_n2_closed_form(self):
         r = 1.0 / np.sqrt(2.0)
         expected = np.array([[r, r], [r, -r]])
-        assert np.allclose(dct_basis(2).matrix, expected, atol=1e-15)
+        assert np.allclose(dct_matrix(2), expected, atol=1e-15)
 
     def test_n8_orthonormal(self):
-        m = dct_basis(8).matrix
+        m = dct_matrix(8)
         assert np.abs(m @ m.T - np.eye(8)).max() < 1e-12
 
     def test_n8_matches_definition_sum(self, rng):
-        m = dct_basis(8).matrix
+        m = dct_matrix(8)
         x = rng.normal(0, 1, 8)
         assert np.abs(m @ x - naive_dct(x)).max() < 1e-12
 
     def test_row0_is_constant(self):
         for n in (1, 3, 20):
-            assert np.allclose(dct_basis(n).matrix[0], 1.0 / np.sqrt(n))
+            assert np.allclose(dct_matrix(n)[0], 1.0 / np.sqrt(n))
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
-            dct_basis(0)
+            dct_matrix(0)
 
 
 class TestTemporalFeature:
@@ -61,7 +63,7 @@ class TestTemporalFeature:
     def test_basis_row_recovers_unit_coefficient(self):
         # series equal to basis row 3 -> coefficient index 3 is 1, others 0
         F = 20
-        series = dct_basis(F).matrix[3]
+        series = dct_matrix(F)[3]
         f = temporal_feature(series, k=5)
         expected = np.abs(naive_dct(series))[:5]
         assert np.allclose(f, expected, atol=1e-9)
@@ -93,9 +95,9 @@ class TestSpatialFeature:
         assert np.allclose(spatial_feature(grid, 3), expected, atol=1e-9)
 
     def test_accepts_thermal_frame(self, rng):
-        pixels = rng.uniform(0, 30, 64)
-        frame = ThermalFrame(pixels=pixels)
-        assert np.allclose(spatial_feature(frame, 2), spatial_feature(pixels.reshape(8, 8), 2))
+        seq = ThermalSequence(pixels=rng.uniform(0, 30, (1, 64)))
+        frame = seq.pixels[0]
+        assert np.allclose(spatial_feature(frame, 2), spatial_feature(frame.reshape(8, 8), 2))
 
     def test_block_bounds(self):
         with pytest.raises(ValueError):
@@ -106,14 +108,15 @@ class TestExtractFeatures:
     def test_zero_sequence_default_length(self):
         seq = subtracted_sequence(np.zeros((20, 64)))
         vec = extract_features(seq, FeatureConfig())
-        assert len(vec) == 320 + 9 * 20 == 500
-        assert np.all(vec.combined == 0.0)
+        assert vec.shape == (320 + 9 * 20,) == (500,)
+        assert np.all(vec == 0.0)
+        assert not vec.flags.writeable
 
     def test_constant_in_time_hits_dc_slots_only(self, rng):
         row = rng.normal(0, 1, 64)
         seq = subtracted_sequence(np.tile(row, (20, 1)))
         vec = extract_features(seq, FeatureConfig())
-        temporal = vec.temporal.reshape(64, 5)
+        temporal = vec[:320].reshape(64, 5)
         assert np.allclose(temporal[:, 0], np.abs(row) * np.sqrt(20), atol=1e-9)
         assert np.allclose(temporal[:, 1:], 0.0, atol=1e-9)
 
@@ -127,9 +130,8 @@ class TestExtractFeatures:
         expected_spatial = []
         for f in range(20):
             expected_spatial.extend(np.abs(naive_dct2(matrix[f].reshape(8, 8)))[:3, :3].reshape(-1))
-        assert np.allclose(vec.temporal, expected_temporal, atol=1e-9)
-        assert np.allclose(vec.spatial, expected_spatial, atol=1e-9)
-        assert np.array_equal(vec.combined, np.concatenate([vec.temporal, vec.spatial]))
+        assert np.allclose(vec[:320], expected_temporal, atol=1e-9)
+        assert np.allclose(vec[320:], expected_spatial, atol=1e-9)
 
     def test_wrong_length_rejected(self):
         seq = subtracted_sequence(np.zeros((10, 64)))
@@ -137,8 +139,7 @@ class TestExtractFeatures:
             extract_features(seq, FeatureConfig(sequence_len=20))
 
     def test_raw_input_rejected(self):
-        frames = tuple(ThermalFrame(pixels=np.full(64, 20.0)) for _ in range(20))
-        seq = ThermalSequence(frames=frames)
+        seq = ThermalSequence(pixels=np.full((20, 64), 20.0))
         with pytest.raises(ValueError, match="subtracted"):
             extract_features(seq, FeatureConfig())
 
@@ -146,19 +147,72 @@ class TestExtractFeatures:
         seqs = [subtracted_sequence(rng.normal(0, 1, (20, 64))) for _ in range(3)]
         X = feature_matrix(seqs)
         assert X.shape == (3, 500)
-        assert np.array_equal(X[1], extract_features(seqs[1]).combined)
+        assert np.array_equal(X[1], extract_features(seqs[1]))
+
+    def test_feature_matrix_rejects_any_bad_sequence(self, rng):
+        seqs = [subtracted_sequence(rng.normal(0, 1, (20, 64))) for _ in range(2)]
+        with pytest.raises(ValueError, match="frames"):
+            feature_matrix(seqs + [subtracted_sequence(np.zeros((10, 64)))])
+
+
+@pytest.fixture(scope="module")
+def default_corpus_sequences(tmp_path_factory):
+    """The default corpus (8 subjects x 3 sessions, seed 42), subtracted and resampled."""
+    out = tmp_path_factory.mktemp("default_corpus")
+    manifest = load_manifest(generate_corpus(out, subjects=8, reps=3, seed=42).manifest_path)
+    backgrounds = build_background_models(manifest)
+    return [
+        resample_equal_interval(subtract_background(seq, backgrounds[""]), 20)
+        for seq in load_sequences(manifest)
+    ]
+
+
+class TestBatchedPathMatchesOracle:
+    """`feature_matrix` computes every row as the per-sequence oracle does, bit for bit."""
+
+    def test_default_corpus(self, default_corpus_sequences):
+        cfg = FeatureConfig()
+        X = feature_matrix(default_corpus_sequences, cfg)
+        assert X.shape == (168, 500)
+        expected = np.stack([features_one_sequence(s, cfg) for s in default_corpus_sequences])
+        assert np.array_equal(X, expected)
+
+    def test_extract_features_is_its_row(self, default_corpus_sequences):
+        cfg = FeatureConfig()
+        X = feature_matrix(default_corpus_sequences, cfg)
+        for i in (0, 1, 83, 167):
+            assert np.array_equal(extract_features(default_corpus_sequences[i], cfg), X[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=1, max_value=6),
+        length=st.integers(min_value=1, max_value=30),
+        k=st.integers(min_value=1, max_value=30),
+        b=st.integers(min_value=1, max_value=8),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_random_subtracted_sequences(self, seed, n, length, k, b, scale):
+        cfg = FeatureConfig(temporal_k=min(k, length), spatial_block=b, sequence_len=length)
+        rng = np.random.default_rng(seed)
+        seqs = [subtracted_sequence(rng.normal(0, scale, (length, 64))) for _ in range(n)]
+        X = feature_matrix(seqs, cfg)
+        assert X.shape == (n, cfg.vector_length)
+        for row, seq in zip(X, seqs):
+            assert np.array_equal(row, features_one_sequence(seq, cfg))
+            assert np.array_equal(row, extract_features(seq, cfg))
 
 
 class TestInvariants:
     def test_parseval_temporal(self, rng):
         for F in (2, 7, 20, 33):
             series = rng.normal(0, 3, F)
-            coeffs = dct_basis(F).matrix @ series
+            coeffs = dct_matrix(F) @ series
             assert abs(np.sum(coeffs**2) - np.sum(series**2)) < 1e-9
 
     def test_parseval_spatial(self, rng):
         grid = rng.normal(0, 3, (8, 8))
-        m = dct_basis(8).matrix
+        m = dct_matrix(8)
         coeffs = m @ grid @ m.T
         assert abs(np.sum(coeffs**2) - np.sum(grid**2)) < 1e-9
 
@@ -170,14 +224,14 @@ class TestInvariants:
         temporal_non_dc = np.ones((64, 5), dtype=bool)
         temporal_non_dc[:, 0] = False
         drift_t = np.abs(
-            base.temporal.reshape(64, 5)[temporal_non_dc]
-            - shifted.temporal.reshape(64, 5)[temporal_non_dc]
+            base[:320].reshape(64, 5)[temporal_non_dc]
+            - shifted[:320].reshape(64, 5)[temporal_non_dc]
         )
         spatial_non_dc = np.ones((20, 3, 3), dtype=bool)
         spatial_non_dc[:, 0, 0] = False
         drift_s = np.abs(
-            base.spatial.reshape(20, 3, 3)[spatial_non_dc]
-            - shifted.spatial.reshape(20, 3, 3)[spatial_non_dc]
+            base[320:].reshape(20, 3, 3)[spatial_non_dc]
+            - shifted[320:].reshape(20, 3, 3)[spatial_non_dc]
         )
         assert drift_t.max() < 1e-9
         assert drift_s.max() < 1e-9
@@ -188,11 +242,11 @@ class TestInvariants:
         rng = np.random.default_rng(99)
         matrix = rng.normal(0, 1, (20, 64))
         cfg = FeatureConfig()
-        base = extract_features(subtracted_sequence(matrix), cfg).combined
-        scaled = extract_features(subtracted_sequence(alpha * matrix), cfg).combined
+        base = extract_features(subtracted_sequence(matrix), cfg)
+        scaled = extract_features(subtracted_sequence(alpha * matrix), cfg)
         assert np.abs(scaled - abs(alpha) * base).max() < 1e-9
 
     def test_matrix_equals_naive_sampled_sizes(self, rng):
         for n in (1, 2, 3, 5, 8, 13, 21, 40, 64):
             x = rng.normal(0, 1, n)
-            assert np.abs(dct_basis(n).matrix @ x - naive_dct(x)).max() < 1e-9
+            assert np.abs(dct_matrix(n) @ x - naive_dct(x)).max() < 1e-9

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermact.core import ThermalFrame, ThermalSequence
+from thermact.core import ThermalSequence
 from thermact.preprocess import (
     BackgroundModel,
-    add_background,
     estimate_background,
     resample_equal_interval,
     resample_indices,
@@ -16,8 +15,8 @@ from thermact.synth import SceneParams, blob_field, builtin_scripts, frame_times
 
 
 def seq_of(values, stage="raw"):
-    frames = tuple(ThermalFrame(pixels=np.full(64, v)) for v in values)
-    return ThermalSequence(frames=frames, stage=stage)
+    pixels = np.repeat(np.asarray(values, dtype=float)[:, None], 64, axis=1)
+    return ThermalSequence(pixels=pixels, stage=stage)
 
 
 class TestEstimateBackground:
@@ -33,7 +32,7 @@ class TestEstimateBackground:
     def test_single_frame_returns_its_pixels(self):
         rng = np.random.default_rng(0)
         pixels = rng.uniform(15.0, 25.0, 64)
-        seq = ThermalSequence(frames=(ThermalFrame(pixels=pixels),))
+        seq = ThermalSequence(pixels=pixels[None, :])
         bg = estimate_background(seq)
         assert np.array_equal(bg.mean_pixels, pixels)
 
@@ -42,7 +41,7 @@ class TestEstimateBackground:
         sigma = 0.3
         n = 100
         samples = rng.normal(mu, sigma, (n, 64)).clip(0.0, 80.0)
-        seq = ThermalSequence(frames=tuple(ThermalFrame(pixels=row) for row in samples))
+        seq = ThermalSequence(pixels=samples)
         bg = estimate_background(seq)
         # independent oracle: plain accumulation loop
         totals = np.zeros(64)
@@ -62,13 +61,13 @@ class TestSubtractBackground:
         bg = estimate_background(seq)
         out = subtract_background(seq, bg)
         assert out.stage == "subtracted"
-        assert np.all(out.pixel_matrix() == 0.0)
+        assert np.all(out.pixels == 0.0)
 
     def test_constant_offset(self):
         seq = seq_of([25.0] * 3)
         bg = BackgroundModel(mean_pixels=np.full(64, 21.0), source_frame_count=1)
         out = subtract_background(seq, bg)
-        assert np.all(out.pixel_matrix() == 4.0)
+        assert np.all(out.pixels == 4.0)
 
     def test_double_subtraction_rejected(self):
         seq = seq_of([25.0] * 3)
@@ -78,11 +77,16 @@ class TestSubtractBackground:
             subtract_background(out, bg)
 
     def test_metadata_preserved(self):
-        frames = (ThermalFrame(pixels=np.full(64, 22.0), timestamp_ms=123),) * 2
-        seq = ThermalSequence(frames=frames, label="fall", subject_id="s1", session_id="r1")
+        seq = ThermalSequence(
+            pixels=np.full((2, 64), 22.0),
+            timestamps_ms=[123, 123],
+            label="fall",
+            subject_id="s1",
+            session_id="r1",
+        )
         out = subtract_background(seq, estimate_background(seq))
         assert (out.label, out.subject_id, out.session_id) == ("fall", "s1", "r1")
-        assert out.frames[0].timestamp_ms == 123
+        assert out.timestamps_ms[0] == 123
 
     def test_round_trip_add_back(self):
         scene = SceneParams()
@@ -91,8 +95,8 @@ class TestSubtractBackground:
             mean_pixels=scene.ambient_mean + scene.ambient_pixel_offsets,
             source_frame_count=1,
         )
-        restored = add_background(subtract_background(seq, bg), bg)
-        assert np.allclose(restored.pixel_matrix(), seq.pixel_matrix(), atol=1e-12)
+        restored = subtract_background(seq, bg).pixels + bg.mean_pixels
+        assert np.allclose(restored, seq.pixels, atol=1e-12)
 
     def test_energy_concentrates_on_blob(self):
         # Oracle: the generator's noise-free blob field marks body pixels.
@@ -108,7 +112,7 @@ class TestSubtractBackground:
             mean_pixels=scene.ambient_mean + scene.ambient_pixel_offsets,
             source_frame_count=1,
         )
-        residual = subtract_background(seq, bg).pixel_matrix()
+        residual = subtract_background(seq, bg).pixels
         on_energy = np.mean(residual[:, on_mask] ** 2)
         off_energy = np.mean(residual[:, off_mask] ** 2)
         assert on_energy > 100 * off_energy
@@ -123,8 +127,8 @@ class TestResample:
     def test_endpoints_kept(self):
         seq = seq_of([18.0, 20.0, 22.0])
         out = resample_equal_interval(seq, 2)
-        assert np.all(out.frames[0].pixels == 18.0)
-        assert np.all(out.frames[1].pixels == 22.0)
+        assert np.all(out.pixels[0] == 18.0)
+        assert np.all(out.pixels[1] == 22.0)
 
     def test_formula_enumeration_oracle(self):
         # brute-force the rounding formula for every output slot
@@ -150,7 +154,7 @@ class TestResample:
         seq = seq_of([18.0, 20.0])
         out = resample_equal_interval(seq, 4)
         assert len(out) == 4
-        values = [f.pixels[0] for f in out.frames]
+        values = list(out.pixels[:, 0])
         assert values == [18.0, 18.0, 20.0, 20.0]
 
     @settings(max_examples=60, deadline=None)

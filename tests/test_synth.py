@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 from pathlib import Path
 
@@ -77,7 +78,7 @@ class TestRenderSequence:
         script = empty_scene_script(duration_s=10.0)
         seq = render_sequence(scene, script, seed=0)
         expected = scene.ambient_mean + scene.ambient_pixel_offsets
-        observed = seq.pixel_matrix().mean(axis=0)
+        observed = seq.pixels.mean(axis=0)
         n = len(seq)
         bound = 3.0 * scene.noise_std / np.sqrt(n) + scene.quantize_step
         assert np.all(np.abs(observed - expected) < bound + 0.05)
@@ -90,7 +91,7 @@ class TestRenderSequence:
         analytic = 5.0 * np.exp(
             -(((cols - 3.0) ** 2) + ((rows - 4.0) ** 2)) / (2 * 1.2**2)
         )
-        frame = seq.frames[0].grid() - scene.ambient_mean - scene.ambient_pixel_offsets.reshape(8, 8)
+        frame = seq.pixels[0].reshape(8, 8) - scene.ambient_mean - scene.ambient_pixel_offsets.reshape(8, 8)
         assert np.abs(frame - analytic).max() < 1e-9
 
     def test_walking_centroid_monotone(self):
@@ -99,8 +100,8 @@ class TestRenderSequence:
         seq = render_sequence(scene, script, seed=3)
         xs = []
         cols = np.array([i % 8 for i in range(64)], dtype=float)  # column per pixel
-        for frame in seq.frames:
-            weights = np.clip(frame.pixels - scene.ambient_mean, 0.0, None) + 1e-9
+        for frame in seq.pixels:
+            weights = np.clip(frame - scene.ambient_mean, 0.0, None) + 1e-9
             xs.append(float((weights * cols).sum() / weights.sum()))
         assert all(b >= a - 1e-6 for a, b in zip(xs, xs[1:]))
         assert xs[-1] > xs[0] + 3.0
@@ -109,7 +110,7 @@ class TestRenderSequence:
         scene = SceneParams()
         seq = render_sequence(scene, static_script(duration=2.0), seed=0)
         assert len(seq) == 20
-        assert seq.frames[1].timestamp_ms == 100
+        assert seq.timestamps_ms[1] == 100
 
     def test_deterministic_given_seed(self):
         scene = SceneParams()
@@ -192,6 +193,16 @@ class TestCorpus:
         )
         assert not mismatch and not errors
 
+    def test_golden_corpus_digest(self, tmp_path):
+        # sha256 over the relative names and bytes of every file, measured on
+        # the per-frame implementation the array-backed sequence replaced.
+        generate_corpus(tmp_path / "g", subjects=2, reps=1, seed=5)
+        h = hashlib.sha256()
+        for path in sorted(p for p in (tmp_path / "g").rglob("*") if p.is_file()):
+            h.update(path.relative_to(tmp_path / "g").as_posix().encode("utf-8") + b"\0")
+            h.update(path.read_bytes())
+        assert h.hexdigest() == "a631e71421e718dba548350d0957bdf5aef075c49a7599059f4fedb7622caad0"
+
     def test_subjects_differ(self, tmp_path):
         generate_corpus(tmp_path / "c", subjects=2, reps=1, seed=3)
         a = (tmp_path / "c" / "s01r1_fall.csv").read_bytes()
@@ -209,7 +220,7 @@ class TestCorpus:
 
         seq = [s for s in load_sequences(manifest) if s.label == "sit_still"][0]
         # ground truth ambient; off-blob = pixels the blob never warms
-        residual = seq.pixel_matrix() - scene.ambient_mean - scene.ambient_pixel_offsets
+        residual = seq.pixels - scene.ambient_mean - scene.ambient_pixel_offsets
         per_pixel_peak = np.abs(residual).max(axis=0)
         off = np.argsort(per_pixel_peak)[:20]  # clearly body-free pixels
         sample = residual[:, off].reshape(-1)
