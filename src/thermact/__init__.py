@@ -30,8 +30,6 @@ from .features import (
     dct_matrix,
     extract_features,
     feature_matrix,
-    spatial_feature,
-    temporal_feature,
 )
 from .classifier import (
     ModelFormatError,

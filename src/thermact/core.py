@@ -6,13 +6,16 @@ validity rules that construction and parsing both apply. Frame files are
 plain CSV (one frame per row); which activity a recording shows, and who
 performed it, lives in a JSON manifest so recordings can be re-labeled
 without touching pixel data. Loading a manifest parses every file once and
-keeps the labeled sequences, so later stages only look them up.
+keeps the labeled sequences, so later stages only look them up; a file that
+has changed since is read again.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -217,16 +220,18 @@ def parse_sequence(source: bytes | str) -> ThermalSequence:
         stamps.append(values.pop(0) if len(values) > PIXEL_COUNT else 0.0)
         rows.append(values)
         linenos.append(lineno)
-    pixels, timestamps = np.array(rows), np.array(stamps)
+    if rows and error is None:
+        try:
+            return ThermalSequence(pixels=rows, timestamps_ms=stamps)
+        except ValueError:
+            pass  # a bad value: found again below to name its line
     # A bad value in an earlier row is reported before the row error.
-    bad = _first_bad_frame(pixels, timestamps, raw=True) if rows else None
+    bad = _first_bad_frame(np.array(rows), np.array(stamps), raw=True) if rows else None
     if bad is not None:
         raise SequenceFormatError(f"line {linenos[bad[0]]}: {bad[1]}")
     if error is not None:
         raise SequenceFormatError(error)
-    if not rows:
-        raise SequenceFormatError("no frame rows found (empty file)")
-    return ThermalSequence(pixels=pixels, timestamps_ms=timestamps)
+    raise SequenceFormatError("no frame rows found (empty file)")
 
 
 def read_sequence(path: str | Path) -> ThermalSequence:
@@ -284,8 +289,9 @@ class DatasetManifest:
     Construction validates the structural invariants (non-empty, labels drawn
     from `label_set`, unique paths); file-level checks happen in
     `load_manifest`. `root` is the directory entry paths are resolved against.
-    `recordings` maps each entry and background path to its parsed, labeled
-    sequence; `load_manifest` fills it, a manifest built in memory has none.
+    `recordings` maps each entry and background path to the stamp of its file
+    and the labeled sequence parsed from it; `load_manifest` fills it, a
+    manifest built in memory has none.
     """
 
     entries: tuple[ManifestEntry, ...]
@@ -293,7 +299,7 @@ class DatasetManifest:
     sensor_id: str = ""
     backgrounds: tuple[BackgroundEntry, ...] = ()
     root: Path | None = None
-    recordings: Mapping[str, ThermalSequence] = field(
+    recordings: Mapping[str, tuple[tuple[int, int, int], ThermalSequence]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -310,17 +316,41 @@ class DatasetManifest:
         return _resolve(self.root, path)
 
     def recording(self, path: str) -> ThermalSequence:
-        """The sequence `load_manifest` parsed for an entry or background path."""
+        """The labeled sequence `load_manifest` parsed for an entry or background path.
+
+        A file changed since then is read again, so a lookup never returns
+        frames the file no longer holds.
+        """
         try:
-            return self.recordings[path]
+            stamp, seq = self.recordings[path]
         except KeyError:
             raise ManifestError(
                 [f"no parsed recording for {path!r}: load the manifest with load_manifest"]
             ) from None
+        file = self.resolve(path)
+        if _stamp(file.stat()) != stamp:
+            seq = _with_metadata(read_sequence(file), seq.label, seq.subject_id, seq.session_id)
+        return seq
 
     def subjects(self) -> tuple[str, ...]:
         """Distinct subject ids in first-appearance order."""
         return tuple(dict.fromkeys(e.subject_id for e in self.entries))
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int]:
+    """What changes when a file is rewritten or replaced: inode, mtime, size."""
+    return st.st_ino, st.st_mtime_ns, st.st_size
+
+
+def _with_metadata(
+    seq: ThermalSequence, label: str | None, subject_id: str, session_id: str
+) -> ThermalSequence:
+    """`seq` with other metadata; its checked arrays are shared, not copied or checked again."""
+    labeled = copy.copy(seq)
+    object.__setattr__(labeled, "label", label)
+    object.__setattr__(labeled, "subject_id", subject_id)
+    object.__setattr__(labeled, "session_id", session_id)
+    return labeled
 
 
 def _resolve(root: Path | None, path: str) -> Path:
@@ -362,7 +392,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     Every referenced frame file must exist and parse; activity entries must
     hold at least 2 frames. All violations are collected and reported
     together in a single ManifestError. Each file is parsed once: the
-    manifest keeps the labeled sequences in `recordings`.
+    manifest keeps the labeled sequences in `recordings`, and
+    `load_sequences`/`load_backgrounds` look them up.
     """
     path = Path(path)
     try:
@@ -411,17 +442,16 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     violations.extend(_structural_violations(entries, tuple(label_set), backgrounds))
 
     root = path.parent
-    recordings: dict[str, ThermalSequence] = {}
-    wanted = [
-        (e.path, 2, {"label": e.label, "subject_id": e.subject_id, "session_id": e.session_id})
-        for e in entries
-    ] + [(bg.path, 1, {"session_id": bg.session_id}) for bg in backgrounds]
+    recordings = {}
+    wanted = [(e.path, 2, (e.label, e.subject_id, e.session_id)) for e in entries]
+    wanted += [(bg.path, 1, (None, "", bg.session_id)) for bg in backgrounds]
     for rel, min_frames, metadata in wanted:
-        seq, problem = _read_checked(_resolve(root, rel), min_frames)
+        recording, problem = _read_checked(_resolve(root, rel), min_frames)
         if problem is not None:
             violations.append(problem)
         else:
-            recordings[rel] = replace(seq, **metadata)
+            stamp, seq = recording
+            recordings[rel] = stamp, _with_metadata(seq, *metadata)
 
     if violations:
         raise ManifestError(violations)
@@ -435,17 +465,18 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     )
 
 
-def _read_checked(path: Path, min_frames: int) -> tuple[ThermalSequence | None, str | None]:
-    """The parsed file, or None and the violation that stops it."""
+def _read_checked(path: Path, min_frames: int):
+    """(file stamp, parsed file) and None, or None and the violation that stops it."""
     if not path.is_file():
         return None, f"missing file: {path}"
+    st = path.stat()  # before the read: a change in between then shows as a change
     try:
         seq = read_sequence(path)
     except SequenceFormatError as exc:
         return None, str(exc)
     if len(seq) < min_frames:
         return None, f"{path}: needs at least {min_frames} frames, has {len(seq)}"
-    return seq, None
+    return (_stamp(st), seq), None
 
 
 def load_sequences(manifest: DatasetManifest) -> list[ThermalSequence]:

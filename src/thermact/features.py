@@ -72,34 +72,6 @@ class FeatureConfig:
         return 64 * self.temporal_k + self.spatial_block**2 * self.sequence_len
 
 
-def temporal_feature(pixel_series: np.ndarray, k: int) -> np.ndarray:
-    """Magnitudes of the k lowest-frequency DCT-II coefficients of a series."""
-    series = np.asarray(pixel_series, dtype=np.float64).reshape(-1)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > series.size:
-        raise ValueError(f"k ({k}) exceeds series length ({series.size})")
-    if not np.all(np.isfinite(series)):
-        raise ValueError("series contains non-finite values")
-    basis = dct_matrix(series.size)
-    return np.abs(basis[:k] @ series)
-
-
-def spatial_feature(frame: np.ndarray, b: int) -> np.ndarray:
-    """Magnitudes of the top-left b x b block of a frame's 2-D DCT-II.
-
-    `frame` is an (8, 8) grid or its 64 pixels in row-major order. The 2-D
-    transform is computed separably, applying the 8-point basis to rows and
-    columns. The block is returned flattened row-major.
-    """
-    if not 1 <= b <= GRID_SIZE:
-        raise ValueError(f"block size must be in [1, {GRID_SIZE}]")
-    grid = np.asarray(frame, dtype=np.float64).reshape(GRID_SIZE, GRID_SIZE)
-    basis = dct_matrix(GRID_SIZE)
-    coeffs = basis @ grid @ basis.T
-    return np.abs(coeffs[:b, :b]).reshape(-1)
-
-
 def feature_matrix(
     sequences: list[ThermalSequence], cfg: FeatureConfig | None = None
 ) -> np.ndarray:

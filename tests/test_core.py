@@ -344,6 +344,36 @@ class TestManifest:
         with pytest.raises(TypeError):
             manifest.recordings["x"] = seq
 
+    def test_a_file_changed_after_loading_is_read_again(self, tmp_path, monkeypatch):
+        import thermact.core as core
+
+        manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))
+        entry = manifest.entries[2]
+        warmer_bg = constant_sequence(19.5, 19.5)
+        write_sequence(warmer_bg, tmp_path / "bg.csv")
+        write_sequence(constant_sequence(20.0, 22.0, 23.0), manifest.resolve(entry.path))
+        calls = []
+        real = core.read_sequence
+        monkeypatch.setattr(core, "read_sequence", lambda p: calls.append(p) or real(p))
+
+        assert load_backgrounds(manifest)[""] == warmer_bg
+        sequences = load_sequences(manifest)
+        assert sequences[2] == constant_sequence(
+            20.0, 22.0, 23.0,
+            label=entry.label, subject_id=entry.subject_id, session_id=entry.session_id,
+        )
+        assert sequences[1] == ThermalSequence(
+            pixels=constant_sequence(20.0, 21.0).pixels,
+            label=manifest.entries[1].label, subject_id="s0", session_id="s0r0",
+        )
+        assert calls == [tmp_path / "bg.csv", manifest.resolve(entry.path)]
+
+    def test_a_file_deleted_after_loading_is_an_error(self, tmp_path):
+        manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))
+        (tmp_path / "bg.csv").unlink()
+        with pytest.raises(FileNotFoundError):
+            load_backgrounds(manifest)
+
     def test_in_memory_manifest_has_no_recordings(self):
         manifest = DatasetManifest(
             entries=(ManifestEntry(path="a.csv", label="fall", subject_id="s", session_id="r"),),

@@ -10,8 +10,6 @@ from thermact.features import (
     dct_matrix,
     extract_features,
     feature_matrix,
-    spatial_feature,
-    temporal_feature,
 )
 from thermact.preprocess import resample_equal_interval, subtract_background
 from thermact.synth import generate_corpus
@@ -22,6 +20,21 @@ from oracles import features_one_sequence, naive_dct, naive_dct2
 
 def subtracted_sequence(matrix):
     return ThermalSequence(pixels=matrix, stage="subtracted")
+
+
+def temporal_block(series, k):
+    """`feature_matrix`'s temporal block for one pixel; every pixel carries `series`."""
+    series = np.asarray(series, dtype=float)
+    seq = subtracted_sequence(np.repeat(series[:, None], 64, axis=1))
+    cfg = FeatureConfig(temporal_k=k, spatial_block=1, sequence_len=series.size)
+    return feature_matrix([seq], cfg)[0, :k]
+
+
+def spatial_block(grid, b):
+    """`feature_matrix`'s spatial block of a one-frame sequence holding `grid`."""
+    seq = subtracted_sequence(np.asarray(grid, dtype=float).reshape(1, 64))
+    cfg = FeatureConfig(temporal_k=1, spatial_block=b, sequence_len=1)
+    return feature_matrix([seq], cfg)[0, 64:]
 
 
 class TestDctBasis:
@@ -53,18 +66,18 @@ class TestDctBasis:
 
 class TestTemporalFeature:
     def test_constant_series_is_dc_only(self):
-        f = temporal_feature(np.full(20, 3.0), k=5)
+        f = temporal_block(np.full(20, 3.0), k=5)
         assert np.isclose(f[0], 3.0 * np.sqrt(20))
         assert np.allclose(f[1:], 0.0, atol=1e-12)
 
     def test_zero_series(self):
-        assert np.all(temporal_feature(np.zeros(20), k=5) == 0.0)
+        assert np.all(temporal_block(np.zeros(20), k=5) == 0.0)
 
     def test_basis_row_recovers_unit_coefficient(self):
         # series equal to basis row 3 -> coefficient index 3 is 1, others 0
         F = 20
         series = dct_matrix(F)[3]
-        f = temporal_feature(series, k=5)
+        f = temporal_block(series, k=5)
         expected = np.abs(naive_dct(series))[:5]
         assert np.allclose(f, expected, atol=1e-9)
         assert np.isclose(f[3], 1.0, atol=1e-12)
@@ -72,36 +85,38 @@ class TestTemporalFeature:
 
     def test_matches_naive_oracle(self, rng):
         series = rng.normal(0, 2, 31)
-        assert np.allclose(temporal_feature(series, 31), np.abs(naive_dct(series)), atol=1e-9)
+        assert np.allclose(temporal_block(series, 31), np.abs(naive_dct(series)), atol=1e-9)
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
-            temporal_feature(np.zeros(4), k=5)
+            temporal_block(np.zeros(4), k=5)
 
 
 class TestSpatialFeature:
     def test_constant_frame_dc(self):
         # DC of the orthonormal 2-D transform of constant c on an 8x8 grid is 8c
-        f = spatial_feature(np.full((8, 8), 2.5), b=3)
+        f = spatial_block(np.full((8, 8), 2.5), b=3)
         assert np.isclose(f[0], 8 * 2.5, atol=1e-12)
         assert np.allclose(f[1:], 0.0, atol=1e-12)
 
     def test_zero_frame(self):
-        assert np.all(spatial_feature(np.zeros((8, 8)), b=3) == 0.0)
+        assert np.all(spatial_block(np.zeros((8, 8)), b=3) == 0.0)
 
     def test_matches_naive_oracle(self, rng):
         grid = rng.normal(0, 1, (8, 8))
         expected = np.abs(naive_dct2(grid))[:3, :3].reshape(-1)
-        assert np.allclose(spatial_feature(grid, 3), expected, atol=1e-9)
+        assert np.allclose(spatial_block(grid, 3), expected, atol=1e-9)
 
     def test_accepts_thermal_frame(self, rng):
-        seq = ThermalSequence(pixels=rng.uniform(0, 30, (1, 64)))
-        frame = seq.pixels[0]
-        assert np.allclose(spatial_feature(frame, 2), spatial_feature(frame.reshape(8, 8), 2))
+        # A frame's 64 pixels are read as a row-major 8x8 grid.
+        frame = ThermalSequence(pixels=rng.uniform(0, 30, (1, 64))).pixels[0]
+        block = spatial_block(frame, 2)
+        assert np.allclose(block, np.abs(naive_dct2(frame.reshape(8, 8)))[:2, :2].reshape(-1))
+        assert not np.allclose(block, np.abs(naive_dct2(frame.reshape(8, 8).T))[:2, :2].reshape(-1))
 
     def test_block_bounds(self):
         with pytest.raises(ValueError):
-            spatial_feature(np.zeros((8, 8)), 9)
+            spatial_block(np.zeros((8, 8)), 9)
 
 
 class TestExtractFeatures:
