@@ -6,8 +6,8 @@ validity rules that construction and parsing both apply. Frame files are
 plain CSV (one frame per row); which activity a recording shows, and who
 performed it, lives in a JSON manifest so recordings can be re-labeled
 without touching pixel data. Loading a manifest parses every file once and
-keeps the labeled sequences, so later stages only look them up; a file that
-has changed since is read again.
+holds each labeled sequence until a later stage looks it up, so loading and
+then using a manifest reads each file once.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -289,9 +287,10 @@ class DatasetManifest:
     Construction validates the structural invariants (non-empty, labels drawn
     from `label_set`, unique paths); file-level checks happen in
     `load_manifest`. `root` is the directory entry paths are resolved against.
-    `recordings` maps each entry and background path to the stamp of its file
-    and the labeled sequence parsed from it; `load_manifest` fills it, a
-    manifest built in memory has none.
+    `_parsed` maps each entry and background path to the stamp of its file,
+    the labeled sequence parsed from it until `recording` hands that out,
+    and its metadata; `load_manifest` fills it, a manifest built in memory
+    has none.
     """
 
     entries: tuple[ManifestEntry, ...]
@@ -299,15 +298,12 @@ class DatasetManifest:
     sensor_id: str = ""
     backgrounds: tuple[BackgroundEntry, ...] = ()
     root: Path | None = None
-    recordings: Mapping[str, tuple[tuple[int, int, int], ThermalSequence]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    _parsed: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "label_set", tuple(self.label_set))
         object.__setattr__(self, "backgrounds", tuple(self.backgrounds))
-        object.__setattr__(self, "recordings", MappingProxyType(dict(self.recordings)))
         violations = _structural_violations(self.entries, self.label_set, self.backgrounds)
         if violations:
             raise ManifestError(violations)
@@ -316,20 +312,23 @@ class DatasetManifest:
         return _resolve(self.root, path)
 
     def recording(self, path: str) -> ThermalSequence:
-        """The labeled sequence `load_manifest` parsed for an entry or background path.
+        """The labeled sequence of an entry or background path.
 
-        A file changed since then is read again, so a lookup never returns
-        frames the file no longer holds.
+        The first lookup hands out the sequence `load_manifest` parsed, and
+        the manifest lets go of it. A later lookup, or one after the file has
+        changed, reads the file, so a lookup never returns frames the file no
+        longer holds.
         """
         try:
-            stamp, seq = self.recordings[path]
+            stamp, seq, metadata = self._parsed[path]
         except KeyError:
             raise ManifestError(
                 [f"no parsed recording for {path!r}: load the manifest with load_manifest"]
             ) from None
         file = self.resolve(path)
-        if _stamp(file.stat()) != stamp:
-            seq = _with_metadata(read_sequence(file), seq.label, seq.subject_id, seq.session_id)
+        if seq is None or _stamp(file.stat()) != stamp:
+            return _with_metadata(read_sequence(file), *metadata)
+        self._parsed[path] = stamp, None, metadata
         return seq
 
     def subjects(self) -> tuple[str, ...]:
@@ -391,9 +390,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     Every referenced frame file must exist and parse; activity entries must
     hold at least 2 frames. All violations are collected and reported
-    together in a single ManifestError. Each file is parsed once: the
-    manifest keeps the labeled sequences in `recordings`, and
-    `load_sequences`/`load_backgrounds` look them up.
+    together in a single ManifestError. The manifest holds the labeled
+    sequences it parsed until `load_sequences`/`load_backgrounds` look them
+    up (see `DatasetManifest.recording`).
     """
     path = Path(path)
     try:
@@ -442,7 +441,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     violations.extend(_structural_violations(entries, tuple(label_set), backgrounds))
 
     root = path.parent
-    recordings = {}
+    parsed = {}
     wanted = [(e.path, 2, (e.label, e.subject_id, e.session_id)) for e in entries]
     wanted += [(bg.path, 1, (None, "", bg.session_id)) for bg in backgrounds]
     for rel, min_frames, metadata in wanted:
@@ -451,7 +450,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             violations.append(problem)
         else:
             stamp, seq = recording
-            recordings[rel] = stamp, _with_metadata(seq, *metadata)
+            parsed[rel] = stamp, _with_metadata(seq, *metadata), metadata
 
     if violations:
         raise ManifestError(violations)
@@ -461,7 +460,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         sensor_id=sensor_id,
         backgrounds=tuple(backgrounds),
         root=root,
-        recordings=recordings,
+        _parsed=parsed,
     )
 
 

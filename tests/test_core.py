@@ -333,7 +333,7 @@ class TestManifest:
             session_id=entry.session_id,
         )
         assert backgrounds[""] == read_sequence(tmp_path / "bg.csv")
-        assert "recordings=" not in repr(manifest)
+        assert "_parsed=" not in repr(manifest)
         assert manifest == DatasetManifest(
             entries=manifest.entries,
             label_set=manifest.label_set,
@@ -341,8 +341,18 @@ class TestManifest:
             backgrounds=manifest.backgrounds,
             root=manifest.root,
         )
-        with pytest.raises(TypeError):
-            manifest.recordings["x"] = seq
+
+    def test_a_recording_is_handed_out_once(self, tmp_path, monkeypatch):
+        import thermact.core as core
+
+        manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))
+        first = load_sequences(manifest)
+        calls = []
+        real = core.read_sequence
+        monkeypatch.setattr(core, "read_sequence", lambda p: calls.append(p) or real(p))
+        again = load_sequences(manifest)
+        assert again == first and again[3] is not first[3]
+        assert calls == [manifest.resolve(e.path) for e in manifest.entries]
 
     def test_a_file_changed_after_loading_is_read_again(self, tmp_path, monkeypatch):
         import thermact.core as core
