@@ -57,7 +57,6 @@ from .synth import (
     builtin_scripts,
     generate_corpus,
     render_sequence,
-    toy_clusters,
 )
 from .config import PipelineConfig, apply_overrides, config_from_dict, load_config
 

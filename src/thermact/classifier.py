@@ -23,7 +23,10 @@ same step schedule, so they are trained in lockstep: each step shrinks the
 rows whose margin it violates, and each epoch evaluates every active class's
 objective in one batch. Each class stops on its own, at the first epoch whose
 objective moved by at most `tolerance` relative to the previous epoch's (or
-at `max_epochs`); its weights then freeze while the others go on. The
+at `max_epochs`); its weights then freeze while the others go on. Most steps
+violate no class's margin; a step whose sample's lowest margin, estimated
+from the last margin matrix and the shrinks since, clears 1 by more than its
+rounding bound only shrinks the weights and skips the margin product. The
 weights equal those of training the classes one at a time, bit for bit.
 
 Non-finite features are refused in training and in prediction: their scores
@@ -34,6 +37,7 @@ order).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -79,9 +83,11 @@ class SvmModel:
     scaler_std: np.ndarray  # (D,)
     train_config: SvmConfig
     # Per class, from training only (not saved; a loaded model has ()):
-    # epochs run, and whether the objective settled before max_epochs.
+    # epochs run, whether the objective settled before max_epochs, and the
+    # primal objective at the last epoch.
     epochs: tuple[int, ...] = ()
     converged: tuple[bool, ...] = ()
+    objectives: tuple[float, ...] = ()
 
     @property
     def dimension(self) -> int:
@@ -129,82 +135,119 @@ def _require_finite(X: np.ndarray) -> None:
 def _objective(w: np.ndarray, Zb: np.ndarray, y: np.ndarray, lam: float) -> float:
     """One class's primal objective, rounded as one-class training rounds it."""
     hinge = np.maximum(0.0, 1.0 - y * (Zb @ w))
-    return 0.5 * lam * (w @ w) + hinge.mean()
+    return float(0.5 * lam * (w @ w) + hinge.mean())
 
 
 def _train_ovr(
     Zb: np.ndarray, Y: np.ndarray, cfg: SvmConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[int], list[bool], list[float]]:
     """Pegasos on all C one-vs-rest problems of a training set at once.
 
     Zb is (m, D+1) with the constant bias column last; Y is (C, m) of +-1.
     Every problem draws the same permutations and step schedule, so a step
     is one (C, D+1) update of the still-active rows. A problem leaves the
     active set, its weights frozen, at the end of the epoch where its own
-    objective stops moving. Returns the weights (C, D+1), the epochs each
-    problem ran and whether it converged before `max_epochs`.
+    objective stops moving. Returns the weights (C, D+1), and per problem
+    the epochs it ran, whether it converged before `max_epochs` and its
+    objective at its last epoch.
 
     The margins and objectives come from matrix products, which may round
     differently from a one-class dot product: by at most 2*n*u times the sum
-    of the terms' magnitudes (n terms, unit roundoff u). `slack` bounds that
-    with room to spare, so a batched value that lies farther than its bound
-    from its threshold decides as the one-class value would; one that lies
-    closer is recomputed one class at a time. So every step and every stop
-    matches training the classes one at a time, bit for bit.
+    of the terms' magnitudes (n = D+1 terms, unit roundoff u). `slack` bounds
+    that with room to spare, so a batched value that lies farther than its
+    bound from its threshold decides as the one-class value would; one that
+    lies closer is recomputed one class at a time. So every step and every
+    stop matches training the classes one at a time, bit for bit.
+
+    Most steps violate no margin, so a step first checks an estimate: the
+    lowest margin of its sample over the active classes, read from the last
+    margin matrix `Ya * (Wa @ Zb.T)` (taken at each epoch's end and after
+    each update), times the product of the shrink factors applied since.
+    Rounding is monotone and the factors are non-negative, so the estimate
+    is no larger than any active class's scaled margin, and that differs
+    from the class's one-class margin by at most (2n + 2s + 1)*u*|w||z|:
+    n each from the matrix product and the one-class dot product, s each
+    from the s <= m shrinks of the weights and of their running product,
+    and one from scaling the estimate. That is below
+    `tie` = slack * (1 + wmax * |z|). A step whose estimate is at
+    least 1 + tie therefore violates no margin and only shrinks the weights;
+    every other step is taken exactly as above.
     """
     C, m = Y.shape
     lam = 1.0 / (cfg.regularization_c * m)
     tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
     slack = 8.0 * max(Zb.shape[1], m) * np.finfo(np.float64).eps
+    ZbT = Zb.T
     znorm = np.sqrt(np.einsum("ij,ij->i", Zb, Zb)).tolist()
     zmax = max(znorm)
     W = np.zeros((C, Zb.shape[1]))
-    epochs = np.full(C, cfg.max_epochs)
-    converged = np.zeros(C, dtype=bool)
-    active = np.arange(C)
+    epochs = [cfg.max_epochs] * C
+    converged = [False] * C
+    objectives = [0.0] * C
+    active = list(range(C))
     Wa, Ya = W.copy(), Y
     wmax = 0.0  # bounds the norm of every active row of Wa
+    low, scale = [0.0] * m, 1.0  # each sample's lowest margin, and the shrinks since
     t = 0
     prev_obj = prev_err = W_prev = None
     for epoch in range(1, cfg.max_epochs + 1):
         YaT = Ya.T
         for i in rng.permutation(m).tolist():
-            z, y, zn = Zb[i], YaT[i], znorm[i]
             t += 1
             eta = 1.0 / (lam * t)
-            Wa *= 1.0 - eta * lam
-            margins = y * (Wa @ z)
+            shrink = 1.0 - eta * lam
+            Wa *= shrink
+            scale *= shrink
+            zn = znorm[i]
             tie = slack * (1.0 + wmax * zn)
+            if scale * low[i] >= 1.0 + tie:
+                continue
+            z, y = Zb[i], YaT[i]
+            margins = y * (Wa @ z)
             viol = (margins < 1.0 + tie).nonzero()[0]
-            if viol.size:  # most steps of a late epoch violate no margin
-                if margins[viol].max() >= 1.0 - tie:
-                    viol = np.array([k for k in viol if y[k] * (z @ Wa[k]) < 1.0], dtype=np.intp)
+            if viol.size and margins[viol].max() >= 1.0 - tie:
+                viol = np.array([k for k in viol if y[k] * (z @ Wa[k]) < 1.0], dtype=np.intp)
+            if viol.size:
                 Wa[viol] += (eta * y[viol])[:, None] * z
                 wmax += eta * zn
-        hinge = np.maximum(0.0, 1.0 - Ya * (Wa @ Zb.T))
-        sq = np.einsum("cd,cd->c", Wa, Wa)
-        obj = 0.5 * lam * sq + hinge.mean(axis=1)
-        wmax = float(np.sqrt(sq.max()))
-        err = slack * (1.0 + 2.0 * float(obj.max()) + wmax * zmax)
+                low, scale = (Ya * (Wa @ ZbT)).min(axis=0).tolist(), 1.0
+        M = Ya * (Wa @ ZbT)
+        hinge = np.maximum(0.0, 1.0 - M)
+        sq = np.einsum("cd,cd->c", Wa, Wa).tolist()
+        mean_hinge = (np.add.reduce(hinge, axis=1) / m).tolist()  # the bits of mean(axis=1)
+        obj = [0.5 * lam * s + h for s, h in zip(sq, mean_hinge)]
+        wmax = math.sqrt(max(sq))
+        err = slack * (1.0 + 2.0 * max(obj) + wmax * zmax)
         if prev_obj is not None:
-            gap = np.abs(prev_obj - obj) - tol * np.maximum(1.0, np.abs(prev_obj))
-            done = gap <= 0.0
-            for k in (np.abs(gap) <= (1.0 + tol) * (prev_err + err)).nonzero()[0]:
-                before = _objective(W_prev[k], Zb, Ya[k], lam)
-                after = _objective(Wa[k], Zb, Ya[k], lam)
-                done[k] = abs(before - after) <= tol * max(1.0, abs(before))
-            if done.any():
-                W[active[done]] = Wa[done]
-                epochs[active[done]] = epoch
-                converged[active[done]] = True
-                keep = ~done
-                active, Wa, Ya, obj = active[keep], Wa[keep], Ya[keep], obj[keep]
-                if not active.size:
+            stop = []
+            for k, (before, after) in enumerate(zip(prev_obj, obj)):
+                gap = abs(before - after) - tol * max(1.0, abs(before))
+                if abs(gap) <= (1.0 + tol) * (prev_err + err):
+                    before = _objective(W_prev[k], Zb, Ya[k], lam)
+                    after = _objective(Wa[k], Zb, Ya[k], lam)
+                    gap = abs(before - after) - tol * max(1.0, abs(before))
+                if gap <= 0.0:
+                    stop.append(k)
+            if stop:
+                for k in stop:
+                    c = active[k]
+                    W[c] = Wa[k]
+                    epochs[c] = epoch
+                    converged[c] = True
+                    objectives[c] = _objective(Wa[k], Zb, Ya[k], lam)
+                keep = [k for k in range(len(active)) if k not in stop]
+                active = [active[k] for k in keep]
+                Wa, Ya, M = Wa[keep], Ya[keep], M[keep]
+                obj = [obj[k] for k in keep]
+                if not active:
                     break
+        low, scale = M.min(axis=0).tolist(), 1.0
         prev_obj, prev_err, W_prev = obj, err, Wa.copy()
+    for k, c in enumerate(active):
+        objectives[c] = _objective(Wa[k], Zb, Ya[k], lam)
     W[active] = Wa
-    return W, epochs, converged
+    return W, epochs, converged, objectives
 
 
 def train(
@@ -246,7 +289,7 @@ def train(
 
     y_index = np.array([ordered.index(l) for l in labels])
     Y = np.where(y_index == np.arange(len(ordered))[:, None], 1.0, -1.0)
-    W, epochs, converged = _train_ovr(Zb, Y, cfg)
+    W, epochs, converged, objectives = _train_ovr(Zb, Y, cfg)
     weights, biases = np.ascontiguousarray(W[:, :-1]), W[:, -1].copy()
 
     weights.flags.writeable = False
@@ -260,8 +303,9 @@ def train(
         scaler_mean=mean,
         scaler_std=std,
         train_config=cfg,
-        epochs=tuple(epochs.tolist()),
-        converged=tuple(converged.tolist()),
+        epochs=tuple(epochs),
+        converged=tuple(converged),
+        objectives=tuple(objectives),
     )
 
 

@@ -15,7 +15,13 @@ from pathlib import Path
 
 from . import __version__
 from .classifier import load_model, predict, save_model, train
-from .config import PipelineConfig, apply_overrides, config_from_dict, load_config
+from .config import (
+    PipelineConfig,
+    apply_overrides,
+    config_from_dict,
+    config_keys,
+    load_config,
+)
 from .core import (
     ThermactError,
     load_manifest,
@@ -31,18 +37,7 @@ from .features import extract_features
 from .preprocess import estimate_background, resample_equal_interval, subtract_background
 from .synth import SceneParams, generate_corpus, scene_from_dict
 
-_OVERRIDE_FLAGS = [
-    ("preprocess.target_len", int),
-    ("features.temporal_k", int),
-    ("features.spatial_block", int),
-    ("svm.regularization_c", float),
-    ("svm.max_epochs", int),
-    ("svm.tolerance", float),
-    ("svm.seed", int),
-    ("eval.protocol", str),
-    ("eval.k", int),
-    ("eval.seed", int),
-]
+_OVERRIDE_FLAGS = config_keys()
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

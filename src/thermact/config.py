@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .classifier import SvmConfig
@@ -65,36 +66,24 @@ class PipelineConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "preprocess": {"target_len": self.preprocess.target_len},
-            "features": {
-                "temporal_k": self.features.temporal_k,
-                "spatial_block": self.features.spatial_block,
-            },
-            "svm": {
-                "regularization_c": self.svm.regularization_c,
-                "max_epochs": self.svm.max_epochs,
-                "tolerance": self.svm.tolerance,
-                "seed": self.svm.seed,
-            },
-            "eval": {
-                "protocol": self.eval.protocol,
-                "k": self.eval.k,
-                "seed": self.eval.seed,
-            },
-        }
+        """Section by section, each field in declaration order."""
+        return asdict(self)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-_SECTIONS = {
-    "preprocess": PreprocessSettings,
-    "features": FeatureSettings,
-    "svm": SvmConfig,
-    "eval": EvalSettings,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)}
+
+
+def config_keys() -> list[tuple[str, type]]:
+    """Every dotted config key ("svm.seed") with its value's type, in `to_dict` order."""
+    keys = []
+    for section, cls in _SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        keys += [(f"{section}.{f.name}", hints[f.name]) for f in fields(cls)]
+    return keys
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -109,8 +98,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
         section = data.get(name, {})
         if not isinstance(section, dict):
             raise ValueError(f"config section {name!r} must be an object")
-        allowed = set(cls.__dataclass_fields__)
-        bad = set(section) - allowed
+        bad = set(section) - {f.name for f in fields(cls)}
         if bad:
             raise ValueError(f"unknown key(s) in config section {name!r}: {sorted(bad)}")
         kwargs[name] = cls(**section)

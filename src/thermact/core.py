@@ -327,7 +327,7 @@ class DatasetManifest:
             ) from None
         file = self.resolve(path)
         if seq is None or _stamp(file.stat()) != stamp:
-            return _with_metadata(read_sequence(file), *metadata)
+            return _derived(read_sequence(file), **metadata)
         self._parsed[path] = stamp, None, metadata
         return seq
 
@@ -341,15 +341,18 @@ def _stamp(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_ino, st.st_mtime_ns, st.st_size
 
 
-def _with_metadata(
-    seq: ThermalSequence, label: str | None, subject_id: str, session_id: str
-) -> ThermalSequence:
-    """`seq` with other metadata; its checked arrays are shared, not copied or checked again."""
-    labeled = copy.copy(seq)
-    object.__setattr__(labeled, "label", label)
-    object.__setattr__(labeled, "subject_id", subject_id)
-    object.__setattr__(labeled, "session_id", session_id)
-    return labeled
+def _derived(seq: ThermalSequence, **changes) -> ThermalSequence:
+    """`seq` with `changes`, neither copied nor checked again.
+
+    Only for changes that keep a checked sequence valid. New arrays are
+    made read-only and shared with the result.
+    """
+    out = copy.copy(seq)
+    for name, value in changes.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _resolve(root: Path | None, path: str) -> Path:
@@ -442,15 +445,18 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     root = path.parent
     parsed = {}
-    wanted = [(e.path, 2, (e.label, e.subject_id, e.session_id)) for e in entries]
-    wanted += [(bg.path, 1, (None, "", bg.session_id)) for bg in backgrounds]
+    wanted = [
+        (e.path, 2, dict(label=e.label, subject_id=e.subject_id, session_id=e.session_id))
+        for e in entries
+    ]
+    wanted += [(bg.path, 1, dict(session_id=bg.session_id)) for bg in backgrounds]
     for rel, min_frames, metadata in wanted:
         recording, problem = _read_checked(_resolve(root, rel), min_frames)
         if problem is not None:
             violations.append(problem)
         else:
             stamp, seq = recording
-            parsed[rel] = stamp, _with_metadata(seq, *metadata), metadata
+            parsed[rel] = stamp, _derived(seq, **metadata), metadata
 
     if violations:
         raise ManifestError(violations)

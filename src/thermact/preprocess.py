@@ -9,7 +9,7 @@ pixel array and returns a new sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .core import (
     TEMP_MIN_C,
     PIXEL_COUNT,
     ThermalSequence,
+    _derived,
     _frozen_array,
 )
 
@@ -59,11 +60,13 @@ def subtract_background(seq: ThermalSequence, bg: BackgroundModel) -> ThermalSeq
     """Subtract the background mean from every pixel of every frame.
 
     Metadata and timestamps are preserved; the result is marked subtracted.
-    Subtracting twice is an error.
+    Subtracting twice is an error. Raw pixels and the background mean both
+    lie within the sensor range, so the difference is finite and the result
+    valid without a second check.
     """
     if seq.stage != RAW:
         raise ValueError("sequence is already background-subtracted")
-    return replace(seq, pixels=seq.pixels - bg.mean_pixels, stage=SUBTRACTED)
+    return _derived(seq, pixels=seq.pixels - bg.mean_pixels, stage=SUBTRACTED)
 
 
 def resample_indices(length: int, target_len: int) -> np.ndarray:
@@ -88,7 +91,9 @@ def resample_equal_interval(seq: ThermalSequence, target_len: int) -> ThermalSeq
     """Select frames at equal intervals to reach exactly `target_len` frames.
 
     Frames are picked, never interpolated; shorter inputs are upsampled by
-    duplicating frames through the same index formula.
+    duplicating frames through the same index formula. The indices never
+    decrease, so the picked frames of a valid sequence are valid and in
+    timestamp order without a second check.
     """
     indices = resample_indices(len(seq), target_len)
-    return replace(seq, pixels=seq.pixels[indices], timestamps_ms=seq.timestamps_ms[indices])
+    return _derived(seq, pixels=seq.pixels[indices], timestamps_ms=seq.timestamps_ms[indices])

@@ -22,7 +22,7 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,14 +103,7 @@ class SceneParams:
 
 
 def scene_from_dict(data: dict) -> SceneParams:
-    allowed = {
-        "ambient_mean",
-        "ambient_pixel_offsets",
-        "noise_std",
-        "frame_rate_hz",
-        "quantize_step",
-    }
-    unknown = set(data) - allowed
+    unknown = set(data) - {f.name for f in fields(SceneParams)}
     if unknown:
         raise ValueError(f"unknown scene key(s): {sorted(unknown)}")
     return SceneParams(**data)
@@ -480,37 +473,3 @@ def generate_corpus(
         sequence_count=len(entries),
         clamped_values=clamped,
     )
-
-
-# ---------------------------------------------------------------------------
-# Toy feature clusters (for exercising the classifier without the pipeline)
-# ---------------------------------------------------------------------------
-
-
-def toy_clusters(
-    n_classes: int = 7,
-    per_class: int = 24,
-    dim: int = 20,
-    separation: float = 8.0,
-    noise: float = 1.0,
-    seed: int = 0,
-) -> tuple[np.ndarray, list[str]]:
-    """Gaussian clusters on orthogonal axes, margin-separated by design.
-
-    Centers sit at `separation` along distinct coordinate axes, so the gap
-    between projected clusters is separation * sqrt(2) against unit-variance
-    noise; the defaults leave well over a 4-sigma margin.
-    """
-    if dim < n_classes:
-        raise ValueError("dim must be >= n_classes for orthogonal centers")
-    rng = np.random.default_rng(seed)
-    X = np.empty((n_classes * per_class, dim))
-    labels = []
-    for c in range(n_classes):
-        center = np.zeros(dim)
-        center[c] = separation
-        X[c * per_class : (c + 1) * per_class] = center + rng.normal(
-            0.0, noise, (per_class, dim)
-        )
-        labels.extend([f"class_{c}"] * per_class)
-    return X, labels

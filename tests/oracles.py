@@ -54,12 +54,13 @@ def features_one_sequence(seq, cfg):
     return np.concatenate([temporal, spatial])
 
 
-def pegasos_binary(Zb, y, cfg, objectives=None):
+def pegasos_binary(Zb, y, cfg, objectives=None, updates=None):
     """One binary Pegasos problem, one sample at a time.
 
     Zb carries the constant bias column last. Returns the weights, the bias,
     the epochs run and whether the objective settled before `cfg.max_epochs`.
-    Each epoch's objective is appended to `objectives` if given.
+    Each epoch's objective is appended to `objectives` if given, and the
+    number t of each step that updates the weights to `updates`.
     """
     m = Zb.shape[0]
     lam = 1.0 / (cfg.regularization_c * m)
@@ -74,6 +75,8 @@ def pegasos_binary(Zb, y, cfg, objectives=None):
             w *= 1.0 - eta * lam
             if y[i] * (Zb[i] @ w) < 1.0:
                 w += (eta * y[i]) * Zb[i]
+                if updates is not None:
+                    updates.append(t)
         hinge = np.maximum(0.0, 1.0 - y * (Zb @ w))
         obj = 0.5 * lam * (w @ w) + hinge.mean()
         if objectives is not None:
@@ -84,11 +87,12 @@ def pegasos_binary(Zb, y, cfg, objectives=None):
     return w[:-1], float(w[-1]), cfg.max_epochs, False
 
 
-def train_per_class(X, labels, cfg, classes):
+def train_per_class(X, labels, cfg, classes, updates=None):
     """One-vs-rest training one class at a time, with the library's scaler.
 
-    Returns (weights (C, D), biases (C,), epochs, converged) for `classes`
-    in the order given.
+    Returns (weights (C, D), biases (C,), epochs, converged, objectives) for
+    `classes` in the order given; each objective is the last epoch's. The
+    step numbers of every class's updates go to the set `updates` if given.
     """
     X = np.asarray(X, dtype=np.float64)
     mean = X.mean(axis=0)
@@ -98,10 +102,14 @@ def train_per_class(X, labels, cfg, classes):
     labels = [str(l) for l in labels]
     weights = np.empty((len(classes), X.shape[1]))
     biases = np.empty(len(classes))
-    epochs, converged = [], []
+    epochs, converged, objectives = [], [], []
     for c, cls in enumerate(classes):
         y = np.array([1.0 if l == cls else -1.0 for l in labels])
-        weights[c], biases[c], e, ok = pegasos_binary(Zb, y, cfg)
+        trace, steps = [], []
+        weights[c], biases[c], e, ok = pegasos_binary(Zb, y, cfg, trace, steps)
         epochs.append(e)
         converged.append(ok)
-    return weights, biases, tuple(epochs), tuple(converged)
+        objectives.append(trace[-1])
+        if updates is not None:
+            updates.update(steps)
+    return weights, biases, tuple(epochs), tuple(converged), tuple(objectives)

@@ -24,7 +24,8 @@ from thermact.evaluate import (
 )
 from thermact.features import FeatureConfig, dct_matrix, extract_features
 from thermact.core import ThermalSequence
-from thermact.synth import generate_corpus, toy_clusters
+from thermact.synth import generate_corpus
+from toy_data import toy_clusters
 
 INFRA_ENV = "THERMACT_INFRA_ADL2018_MANIFEST"
 COVENTRY_ENV = "THERMACT_COVENTRY_MANIFEST"

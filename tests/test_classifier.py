@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import pegasos_binary, train_per_class
+from thermact import classifier
 from thermact.classifier import (
     STD_FLOOR,
     ModelFormatError,
@@ -21,7 +22,8 @@ from thermact.classifier import (
 from thermact.core import ThermactError, load_manifest
 from thermact.evaluate import loso_split, prepare_features, stratified_kfold_split
 from thermact.features import FeatureConfig
-from thermact.synth import generate_corpus, toy_clusters
+from thermact.synth import generate_corpus
+from toy_data import toy_clusters
 
 
 def hinge_objective(Z, y, w, b, lam):
@@ -96,7 +98,7 @@ class TestTrain:
 def assert_matches_per_class(X, labels, cfg, classes):
     """Lockstep training gives the per-class oracle's model, bit for bit."""
     model = train(X, labels, cfg, classes=classes)
-    weights, biases, epochs, converged = train_per_class(X, labels, cfg, classes)
+    weights, biases, epochs, converged, objectives = train_per_class(X, labels, cfg, classes)
     assert model.classes == tuple(classes)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.biases, biases)
@@ -104,7 +106,28 @@ def assert_matches_per_class(X, labels, cfg, classes):
     assert model.biases.tobytes() == biases.tobytes()
     assert model.epochs == epochs
     assert model.converged == converged
+    assert np.array(model.objectives).tobytes() == np.array(objectives).tobytes()
     return model
+
+
+def exact_steps(monkeypatch, X, labels, cfg, classes):
+    """How many steps of `train` took the exact path rather than only shrinking.
+
+    An exact step is the only place training reads one sample's row of the
+    augmented feature matrix, so the count is the number of such reads.
+    """
+    reads = []
+
+    class RowReads(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, int):
+                reads.append(key)
+            return super().__getitem__(key)
+
+    train_ovr = classifier._train_ovr
+    monkeypatch.setattr(classifier, "_train_ovr", lambda Zb, Y, c: train_ovr(Zb.view(RowReads), Y, c))
+    train(X, labels, cfg, classes=classes)
+    return len(reads)
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +191,44 @@ class TestLockstepMatchesPerClass:
         labels = [f"k{i % n_classes}" for i in range(len(X))]
         assert_matches_per_class(X, labels, cfg, tuple(f"k{i}" for i in range(n_classes)))
 
+    @pytest.mark.parametrize(
+        "X, n_classes, cfg",
+        [
+            ([[-1, 2], [0, 2], [-1, 1]], 3, SvmConfig(regularization_c=2.0, max_epochs=5, seed=55)),
+            ([[1, -1], [0, 2], [-1, -1]], 3, SvmConfig(regularization_c=0.5, max_epochs=10, seed=94)),
+            ([[-1, -2], [-2, -2], [-1, -2], [-1, 2]], 2, SvmConfig(max_epochs=11, seed=19)),
+        ],
+    )
+    def test_estimate_on_the_threshold(self, X, n_classes, cfg):
+        # Integer features put margins exactly on 1.0 after some shrinks,
+        # where the scaled estimate rounds to 1.0 or above and the one-class
+        # margin to below it: only the rounding bound sends those steps to
+        # the exact path.
+        labels = [f"k{i % n_classes}" for i in range(len(X))]
+        X = np.array(X, dtype=np.float64)
+        assert_matches_per_class(X, labels, cfg, tuple(f"k{i}" for i in range(n_classes)))
+
+    @pytest.mark.parametrize(
+        "shape, cfg",
+        [
+            ((7, 20, 40, 8.0, 1.0, 11), SvmConfig()),
+            ((7, 20, 40, 8.0, 1.0, 11), SvmConfig(tolerance=1e-2)),
+            ((4, 8, 5, 2.0, 2.0, 3), SvmConfig(max_epochs=60)),
+        ],
+    )
+    def test_exact_steps_are_the_updating_steps(self, monkeypatch, shape, cfg):
+        # Classes leave the active set at different epochs (in the last case
+        # one runs to max_epochs), so the estimate must follow the active rows.
+        # With no margin near 1.0, exactly the steps that update some class
+        # take the exact path: no missed update, no needless exact step.
+        X, labels = toy_clusters(*shape)
+        classes = tuple(sorted(set(labels)))
+        updates = set()
+        *_, epochs, _, _ = train_per_class(X, labels, cfg, classes, updates)
+        assert len(set(epochs)) > 1
+        assert exact_steps(monkeypatch, X, labels, cfg, classes) == len(updates)
+        assert_matches_per_class(X, labels, cfg, classes)
+
     def test_tolerance_on_an_epochs_own_change(self, clusters):
         # Tolerance equal to the relative objective change of a record-low
         # epoch puts that class's stop test within rounding of its threshold,
@@ -223,7 +284,7 @@ class TestConvergenceSignal:
     def test_default_training_converges_per_class(self, clusters):
         X, labels = clusters
         model = train(X, labels)
-        assert len(model.epochs) == len(model.converged) == 7
+        assert len(model.epochs) == len(model.converged) == len(model.objectives) == 7
         assert all(model.converged)
         assert all(2 <= e < 200 for e in model.epochs)
 
@@ -235,7 +296,7 @@ class TestConvergenceSignal:
             "version", "classes", "weights", "biases", "scaler_mean", "scaler_std", "config"
         }
         loaded, _ = load_model(path)
-        assert loaded.epochs == () and loaded.converged == ()
+        assert loaded.epochs == () and loaded.converged == () and loaded.objectives == ()
 
 
 class TestNonFinite:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from thermact.core import ThermalSequence
+from thermact.core import ThermalSequence, _first_bad_frame
 from thermact.preprocess import (
     BackgroundModel,
     estimate_background,
@@ -175,3 +176,52 @@ class TestResample:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             resample_indices(10, 0)
+
+
+class TestDerivedSequences:
+    """Subtraction and resampling build their result without the validating
+    constructor; it must be the sequence the constructor would build."""
+
+    @staticmethod
+    def assert_as_constructed(out, **fields):
+        ref = ThermalSequence(**fields)
+        assert out == ref
+        for got, want in ((out.pixels, ref.pixels), (out.timestamps_ms, ref.timestamps_ms)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert _first_bad_frame(out.pixels, out.timestamps_ms.astype(np.float64), out.stage == "raw") is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        frames=st.integers(1, 30),
+        target=st.integers(1, 40),
+        timed=st.booleans(),
+    )
+    def test_match_the_validating_constructor(self, data, frames, target, timed):
+        temps = st.floats(0.0, 80.0, allow_nan=False)
+        pixels = data.draw(hnp.arrays(np.float64, (frames, 64), elements=temps))
+        stamps = None
+        if timed:
+            steps = data.draw(hnp.arrays(np.int64, frames, elements=st.integers(0, 1000)))
+            stamps = np.cumsum(steps)
+        meta = dict(label="fall", subject_id="s1", session_id="r2")
+        seq = ThermalSequence(pixels=pixels, timestamps_ms=stamps, **meta)
+        bg = BackgroundModel(data.draw(hnp.arrays(np.float64, 64, elements=temps)), 1)
+        idx = resample_indices(frames, target)
+
+        resampled = resample_equal_interval(seq, target)
+        self.assert_as_constructed(
+            resampled, pixels=seq.pixels[idx], timestamps_ms=seq.timestamps_ms[idx], **meta
+        )
+        sub = subtract_background(seq, bg)
+        self.assert_as_constructed(
+            sub, pixels=seq.pixels - bg.mean_pixels, timestamps_ms=seq.timestamps_ms,
+            stage="subtracted", **meta,
+        )
+        self.assert_as_constructed(
+            resample_equal_interval(sub, target), pixels=sub.pixels[idx],
+            timestamps_ms=seq.timestamps_ms[idx], stage="subtracted", **meta,
+        )
+        assert seq.pixels.tobytes() == pixels.tobytes()  # the input is untouched

@@ -21,8 +21,8 @@ from thermact.synth import (
     render_frames,
     render_sequence,
     scene_from_dict,
-    toy_clusters,
 )
+from toy_data import toy_clusters
 
 
 def static_script(x=3.5, y=3.5, sigma=1.0, amp=6.0, duration=2.0):
