@@ -7,6 +7,7 @@ from .core import (
     DatasetManifest,
     ManifestEntry,
     BackgroundEntry,
+    ConfigError,
     ManifestError,
     SequenceFormatError,
     ThermactError,

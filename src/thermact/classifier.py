@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ThermactError
+from .core import ThermactError, from_json
 
 MODEL_FORMAT_VERSION = 1
 
@@ -64,11 +64,11 @@ class SvmConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.regularization_c <= 0:
+        if not self.regularization_c > 0:
             raise ValueError("regularization_c must be positive")
-        if self.max_epochs < 1:
+        if not self.max_epochs >= 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
 
@@ -371,10 +371,10 @@ def load_model(path: str | Path) -> tuple[SvmModel, dict]:
             f"(expected {MODEL_FORMAT_VERSION})"
         )
     config = data.get("config", {})
-    if not isinstance(config, dict) or not isinstance(config.get("svm", {}), dict):
-        raise ModelFormatError(f"{path}: 'config' and its 'svm' section must be JSON objects")
+    if not isinstance(config, dict):
+        raise ModelFormatError(f"{path}: 'config' must be a JSON object")
     try:
-        svm_cfg = SvmConfig(**config.get("svm", {}))
+        svm_cfg = from_json(SvmConfig, config.get("svm", {}), "config.svm")
         weights = np.array(data["weights"], dtype=np.float64)
         biases = np.array(data["biases"], dtype=np.float64)
         mean = np.array(data["scaler_mean"], dtype=np.float64)

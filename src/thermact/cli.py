@@ -15,27 +15,12 @@ from pathlib import Path
 
 from . import __version__
 from .classifier import load_model, predict, save_model, train
-from .config import (
-    PipelineConfig,
-    apply_overrides,
-    config_from_dict,
-    config_keys,
-    load_config,
-)
-from .core import (
-    ThermactError,
-    load_manifest,
-    read_sequence,
-)
-from .evaluate import (
-    loso_split,
-    prepare_features,
-    run_pipeline_cv,
-    stratified_kfold_split,
-)
+from .config import PipelineConfig, apply_overrides, config_from_dict, config_keys, load_config
+from .core import ThermactError, from_json_file, load_manifest, read_sequence
+from .evaluate import loso_split, prepare_features, run_pipeline_cv, stratified_kfold_split
 from .features import extract_features
 from .preprocess import estimate_background, resample_equal_interval, subtract_background
-from .synth import SceneParams, generate_corpus, scene_from_dict
+from .synth import SceneParams, generate_corpus
 
 _OVERRIDE_FLAGS = config_keys()
 
@@ -59,9 +44,7 @@ def _folds_for(config: PipelineConfig, manifest):
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    scene = None
-    if args.scene:
-        scene = scene_from_dict(json.loads(Path(args.scene).read_text(encoding="utf-8")))
+    scene = from_json_file(SceneParams, args.scene) if args.scene else None
     summary = generate_corpus(
         args.out, subjects=args.subjects, reps=args.reps, seed=args.seed, scene=scene
     )
@@ -75,9 +58,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_featurize(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     manifest = load_manifest(args.data)
-    X, labels = prepare_features(
-        manifest, config.preprocess.target_len, config.feature_config()
-    )
+    X, labels = prepare_features(manifest, config.preprocess.target_len, config.features)
     lines = ["# label,subject," + ",".join(f"f{i}" for i in range(X.shape[1]))]
     for entry, row in zip(manifest.entries, X):
         lines.append(
@@ -95,9 +76,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     manifest = load_manifest(args.data)
-    X, labels = prepare_features(
-        manifest, config.preprocess.target_len, config.feature_config()
-    )
+    X, labels = prepare_features(manifest, config.preprocess.target_len, config.features)
     model = train(X, labels, config.svm, classes=manifest.label_set)
     save_model(model, args.model, config=config.to_dict())
     print(f"trained on {len(labels)} sequences ({len(model.classes)} classes) -> {args.model}")
@@ -112,7 +91,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         manifest,
         folds,
         target_len=config.preprocess.target_len,
-        feature_config=config.feature_config(),
+        feature_config=config.features,
         svm_config=config.svm,
         config_echo=config.to_dict(),
     )
@@ -134,9 +113,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model, embedded = load_model(args.model)
-    config = PipelineConfig() if not embedded else _config_from_embedded(embedded)
+    config = config_from_dict(embedded, f"{args.model}: config")
     background = estimate_background(read_sequence(args.background))
-    feature_cfg = config.feature_config()
+    feature_cfg = config.features
     for path in args.sequences:
         seq = read_sequence(path)
         seq = subtract_background(seq, background)
@@ -160,11 +139,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         else:
             print(f"{path}\t{label}")
     return 0
-
-
-def _config_from_embedded(embedded: dict) -> PipelineConfig:
-    known = {k: v for k, v in embedded.items() if k in ("preprocess", "features", "svm", "eval")}
-    return config_from_dict(known)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ThermactError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ThermactError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

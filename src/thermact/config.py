@@ -2,9 +2,11 @@
 
 One configuration object covers the whole pipeline; the effective config is
 embedded in every model file and report so a run can be reproduced from its
-own output. Unknown keys are rejected. `features.sequence_len` is not a
-config key: it always equals `preprocess.target_len` so the two cannot
-disagree.
+own output. Every section is read by `core.from_json`: unknown keys are
+rejected, each value must have its field's JSON type (an integer, a finite
+number or a string), and every error names the file or flag and the dotted
+key. The feature length is not a config key: it is the number of frames
+preprocessing leaves, `preprocess.target_len`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .classifier import SvmConfig
-from .features import DEFAULT_SPATIAL_BLOCK, DEFAULT_TEMPORAL_K, FeatureConfig
+from .core import from_json, from_json_file
+from .features import FeatureConfig
 from .preprocess import DEFAULT_TARGET_LEN
 
 PROTOCOLS = ("loso", "kfold")
@@ -27,14 +30,8 @@ class PreprocessSettings:
     target_len: int = DEFAULT_TARGET_LEN
 
     def __post_init__(self):
-        if self.target_len < 1:
-            raise ValueError("preprocess.target_len must be >= 1")
-
-
-@dataclass(frozen=True)
-class FeatureSettings:
-    temporal_k: int = DEFAULT_TEMPORAL_K
-    spatial_block: int = DEFAULT_SPATIAL_BLOCK
+        if not self.target_len >= 1:
+            raise ValueError("target_len must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -45,25 +42,25 @@ class EvalSettings:
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
-            raise ValueError(f"eval.protocol must be one of {PROTOCOLS}")
-        if self.k < 2:
-            raise ValueError("eval.k must be >= 2")
+            raise ValueError(f"protocol must be one of {PROTOCOLS}")
+        if not self.k >= 2:
+            raise ValueError("k must be >= 2")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     preprocess: PreprocessSettings = field(default_factory=PreprocessSettings)
-    features: FeatureSettings = field(default_factory=FeatureSettings)
+    features: FeatureConfig = field(default_factory=FeatureConfig)
     svm: SvmConfig = field(default_factory=SvmConfig)
     eval: EvalSettings = field(default_factory=EvalSettings)
 
+    def __post_init__(self):
+        k, n = self.features.temporal_k, self.preprocess.target_len
+        if k > n:
+            raise ValueError(f"features.temporal_k ({k}) cannot exceed preprocess.target_len ({n})")
+
     def feature_config(self) -> FeatureConfig:
-        """The full feature configuration, sequence length included."""
-        return FeatureConfig(
-            temporal_k=self.features.temporal_k,
-            spatial_block=self.features.spatial_block,
-            sequence_len=self.preprocess.target_len,
-        )
+        return self.features
 
     def to_dict(self) -> dict:
         """Section by section, each field in declaration order."""
@@ -74,53 +71,32 @@ class PipelineConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)}
-
-
 def config_keys() -> list[tuple[str, type]]:
     """Every dotted config key ("svm.seed") with its value's type, in `to_dict` order."""
     keys = []
-    for section, cls in _SECTIONS.items():
+    for section in fields(PipelineConfig):
+        cls = section.default_factory
         hints = typing.get_type_hints(cls)
-        keys += [(f"{section}.{f.name}", hints[f.name]) for f in fields(cls)]
+        keys += [(f"{section.name}.{f.name}", hints[f.name]) for f in fields(cls)]
     return keys
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
-    """Build a config from nested dicts, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(data) - set(_SECTIONS)
-    if unknown:
-        raise ValueError(f"unknown config section(s): {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = data.get(name, {})
-        if not isinstance(section, dict):
-            raise ValueError(f"config section {name!r} must be an object")
-        bad = set(section) - {f.name for f in fields(cls)}
-        if bad:
-            raise ValueError(f"unknown key(s) in config section {name!r}: {sorted(bad)}")
-        kwargs[name] = cls(**section)
-    return PipelineConfig(**kwargs)
+def config_from_dict(data: dict, where: str = "config") -> PipelineConfig:
+    """Build a config from nested dicts; errors name `where` and the key."""
+    return from_json(PipelineConfig, data, where)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return from_json_file(PipelineConfig, path)
 
 
 def apply_overrides(config: PipelineConfig, overrides: dict[str, object]) -> PipelineConfig:
-    """Apply dotted-key overrides like {"features.temporal_k": 7}."""
+    """Apply dotted-key overrides like {"features.temporal_k": 7}; None means unset."""
     data = config.to_dict()
+    flags = []
     for key, value in overrides.items():
-        if value is None:
-            continue
-        section, _, name = key.partition(".")
-        if section not in data or name not in data[section]:
-            raise ValueError(f"unknown config key: {key}")
-        data[section][name] = value
-    return config_from_dict(data)
+        if value is not None:
+            section, _, name = key.partition(".")
+            data.setdefault(section, {})[name] = value
+            flags.append(f"--{key}")
+    return config_from_dict(data, "override " + ", ".join(flags))

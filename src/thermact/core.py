@@ -13,9 +13,13 @@ then using a manifest reads each file once.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import os
-from dataclasses import dataclass, field
+import reprlib
+import sys
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,9 @@ ADL7_LABELS = (
 
 BACKGROUND_ROLE = "background"
 
+# Frames a labeled activity recording needs at least.
+MIN_ACTIVITY_FRAMES = 2
+
 
 class ThermactError(Exception):
     """Base class for errors raised by this package."""
@@ -56,16 +63,81 @@ class SequenceFormatError(ThermactError):
 class ManifestError(ThermactError):
     """A dataset manifest is invalid. Carries every violation found."""
 
-    def __init__(self, violations: list[str]):
+    def __init__(self, violations: list[str], where: str = "manifest"):
         self.violations = list(violations)
         super().__init__(
-            "invalid manifest (%d problem%s):\n%s"
+            "invalid %s (%d problem%s):\n%s"
             % (
+                where,
                 len(self.violations),
                 "" if len(self.violations) == 1 else "s",
                 "\n".join("  - " + v for v in self.violations),
             )
         )
+
+
+class ConfigError(ThermactError, ValueError):
+    """A settings object read from JSON is malformed; the message names where and the key."""
+
+
+def _number(v) -> bool:
+    """A finite JSON number: abs() of NaN, an infinity or a huge int fails the bound."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # evaluates annotations on every call
+
+# Each field type of a settings dataclass, and the JSON values it takes.
+_JSON_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    np.ndarray: (
+        "a list of finite numbers", lambda v: isinstance(v, list) and all(map(_number, v))
+    ),
+}
+
+
+def from_json(cls, data, where: str, _prefix: str = ""):
+    """Build the settings dataclass `cls` from a parsed JSON object.
+
+    The keys are the fields of `cls`; a missing key takes its default. Each
+    value must have its field's type: an int field takes a JSON integer (not
+    a bool), a float field a finite number, a str field a string, an
+    np.ndarray field a list of finite numbers, and a dataclass field a nested
+    object, read the same way. Values pass through unchanged. Any violation,
+    or a ValueError from `cls` itself, is a ConfigError naming `where` (the
+    file or flag the object came from) and the dotted key.
+    """
+    if not isinstance(data, dict):
+        key = f"{_prefix[:-1]} " if _prefix else ""
+        raise ConfigError(f"{where}: {key}must be a JSON object, got {reprlib.repr(data)}")
+    hints = _type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    unknown = [_prefix + key for key in data if key not in names]
+    if unknown:
+        raise ConfigError(f"{where}: unknown config key(s) {unknown}")
+    kwargs = {}
+    for key, value in data.items():
+        if is_dataclass(hints[key]):
+            value = from_json(hints[key], value, where, f"{_prefix}{key}.")
+        elif not _JSON_TYPES[hints[key]][1](value):
+            what, got = _JSON_TYPES[hints[key]][0], reprlib.repr(value)
+            raise ConfigError(f"{where}: {_prefix}{key} must be {what}, got {got}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {_prefix}{exc}") from None
+
+
+def from_json_file(cls, path: str | Path):
+    """`from_json` of the JSON file at `path`; every error names the file."""
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    return from_json(cls, data, str(path))
 
 
 def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -331,10 +403,6 @@ class DatasetManifest:
         self._parsed[path] = stamp, None, metadata
         return seq
 
-    def subjects(self) -> tuple[str, ...]:
-        """Distinct subject ids in first-appearance order."""
-        return tuple(dict.fromkeys(e.subject_id for e in self.entries))
-
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int]:
     """What changes when a file is rewritten or replaced: inode, mtime, size."""
@@ -392,8 +460,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     """Load and eagerly validate a manifest JSON file.
 
     Every referenced frame file must exist and parse; activity entries must
-    hold at least 2 frames. All violations are collected and reported
-    together in a single ManifestError. The manifest holds the labeled
+    hold at least MIN_ACTIVITY_FRAMES frames; subject, session and sensor
+    ids must be strings. All violations are collected and reported together
+    in a single ManifestError. The manifest holds the labeled
     sequences it parsed until `load_sequences`/`load_backgrounds` look them
     up (see `DatasetManifest.recording`).
     """
@@ -402,7 +471,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ManifestError([f"cannot read manifest {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ManifestError([f"manifest {path} is not valid JSON: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ManifestError([f"manifest {path}: top level must be a JSON object"])
@@ -413,6 +482,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         violations.append('"label_set" must be a list of strings')
         label_set = []
     sensor_id = data.get("sensor_id", "")
+    if not isinstance(sensor_id, str):
+        violations.append('"sensor_id" must be a string')
     raw_entries = data.get("entries")
     if not isinstance(raw_entries, list):
         violations.append('"entries" must be a list')
@@ -424,20 +495,20 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         if not isinstance(item, dict) or not isinstance(item.get("path"), str):
             violations.append(f'entry {i}: must be an object with a string "path" field')
             continue
+        subject, session = ids = item.get("subject", ""), item.get("session", "")
+        bad = [key for key, v in zip(("subject", "session"), ids) if not isinstance(v, str)]
+        violations += [f'entry {i} ({item["path"]}): "{key}" must be a string' for key in bad]
+        if bad:
+            continue
         if item.get("role") == BACKGROUND_ROLE:
-            backgrounds.append(
-                BackgroundEntry(path=item["path"], session_id=str(item.get("session", "")))
-            )
+            backgrounds.append(BackgroundEntry(path=item["path"], session_id=session))
         else:
             if not isinstance(item.get("label"), str):
                 violations.append(f'entry {i} ({item["path"]}): missing or non-string "label"')
                 continue
             entries.append(
                 ManifestEntry(
-                    path=item["path"],
-                    label=item["label"],
-                    subject_id=str(item.get("subject", "")),
-                    session_id=str(item.get("session", "")),
+                    path=item["path"], label=item["label"], subject_id=subject, session_id=session
                 )
             )
 
@@ -446,7 +517,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     root = path.parent
     parsed = {}
     wanted = [
-        (e.path, 2, dict(label=e.label, subject_id=e.subject_id, session_id=e.session_id))
+        (e.path, MIN_ACTIVITY_FRAMES,
+         dict(label=e.label, subject_id=e.subject_id, session_id=e.session_id))
         for e in entries
     ]
     wanted += [(bg.path, 1, dict(session_id=bg.session_id)) for bg in backgrounds]
@@ -459,7 +531,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             parsed[rel] = stamp, _derived(seq, **metadata), metadata
 
     if violations:
-        raise ManifestError(violations)
+        raise ManifestError(violations, f"manifest {path}")
     return DatasetManifest(
         entries=tuple(entries),
         label_set=tuple(label_set),

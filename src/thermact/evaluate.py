@@ -229,14 +229,11 @@ def prepare_features(
     up front is leak-free; only standardization is fold-dependent. Each row
     is the same whichever chunk it is computed in.
     """
-    feature_config = feature_config or FeatureConfig(sequence_len=target_len)
-    if feature_config.sequence_len != target_len:
-        raise ValueError("feature_config.sequence_len must equal target_len")
     backgrounds = build_background_models(manifest)
     if not backgrounds:
         raise ThermactError("manifest declares no background clip")
     sequences = load_sequences(manifest)
-    X = np.empty((len(sequences), feature_config.vector_length))
+    blocks = []
     for lo in range(0, len(sequences), FEATURE_CHUNK):
         processed = []
         chunk = slice(lo, lo + FEATURE_CHUNK)
@@ -248,8 +245,8 @@ def prepare_features(
                 )
             seq = subtract_background(seq, bg)
             processed.append(resample_equal_interval(seq, target_len))
-        X[chunk] = feature_matrix(processed, feature_config)
-    return X, [e.label for e in manifest.entries]
+        blocks.append(feature_matrix(processed, feature_config))
+    return np.concatenate(blocks), [e.label for e in manifest.entries]
 
 
 def run_pipeline_cv(

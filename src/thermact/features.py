@@ -1,4 +1,4 @@
-"""Cosine-transform features for fixed-length thermal sequences.
+"""Cosine-transform features for equal-length thermal sequences.
 
 Two blocks are concatenated into one vector per sequence:
 
@@ -24,10 +24,6 @@ import numpy as np
 
 from .core import GRID_SIZE, SUBTRACTED, ThermalSequence
 
-DEFAULT_TEMPORAL_K = 5
-DEFAULT_SPATIAL_BLOCK = 3
-
-
 @lru_cache(maxsize=128)
 def dct_matrix(n: int) -> np.ndarray:
     """The read-only orthonormal DCT-II matrix of size n (cached per n).
@@ -48,28 +44,16 @@ def dct_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """How many coefficients to keep, and the common sequence length."""
+    """How many coefficients to keep."""
 
-    temporal_k: int = DEFAULT_TEMPORAL_K
-    spatial_block: int = DEFAULT_SPATIAL_BLOCK
-    sequence_len: int = 20
+    temporal_k: int = 5
+    spatial_block: int = 3
 
     def __post_init__(self):
-        if self.temporal_k < 1:
+        if not self.temporal_k >= 1:
             raise ValueError("temporal_k must be >= 1")
-        if self.sequence_len < 1:
-            raise ValueError("sequence_len must be >= 1")
-        if self.temporal_k > self.sequence_len:
-            raise ValueError(
-                f"temporal_k ({self.temporal_k}) cannot exceed "
-                f"sequence_len ({self.sequence_len})"
-            )
         if not 1 <= self.spatial_block <= GRID_SIZE:
             raise ValueError(f"spatial_block must be in [1, {GRID_SIZE}]")
-
-    @property
-    def vector_length(self) -> int:
-        return 64 * self.temporal_k + self.spatial_block**2 * self.sequence_len
 
 
 def feature_matrix(
@@ -77,23 +61,25 @@ def feature_matrix(
 ) -> np.ndarray:
     """One feature row per sequence: the temporal block, then the spatial block.
 
-    Every sequence must already be background-subtracted and have exactly
-    `cfg.sequence_len` frames. The pixels of all N sequences are stacked as
-    one (N, F, 64) array and both blocks come from one product each.
+    Every sequence must already be background-subtracted, and all must have
+    the same number of frames F, at least `cfg.temporal_k`; a row holds
+    64 * temporal_k + spatial_block**2 * F values. The pixels of all N
+    sequences are stacked as one (N, F, 64) array and both blocks come from
+    one product each.
     """
     cfg = cfg or FeatureConfig()
-    for seq in sequences:
-        if seq.stage != SUBTRACTED:
-            raise ValueError("features require a background-subtracted sequence")
-        if len(seq) != cfg.sequence_len:
-            raise ValueError(
-                f"sequence has {len(seq)} frames, config expects {cfg.sequence_len}"
-            )
+    if any(seq.stage != SUBTRACTED for seq in sequences):
+        raise ValueError("features require a background-subtracted sequence")
+    lengths = sorted({len(seq) for seq in sequences})
+    if len(lengths) != 1:
+        raise ValueError(f"sequences of one batch need equal frame counts, got frames {lengths}")
+    if lengths[0] < cfg.temporal_k:
+        raise ValueError(f"temporal_k ({cfg.temporal_k}) exceeds {lengths[0]} frames")
     stack = np.stack([seq.pixels for seq in sequences])  # (N, F, 64)
     n = len(stack)
 
     # (N, k, 64) coefficients -> per-pixel rows -> pixel-major flat layout.
-    temporal = np.abs(np.matmul(dct_matrix(cfg.sequence_len)[: cfg.temporal_k], stack))
+    temporal = np.abs(np.matmul(dct_matrix(lengths[0])[: cfg.temporal_k], stack))
     temporal = temporal.transpose(0, 2, 1).reshape(n, -1)
 
     # Only the kept b x b corner is computed. This einsum gives each sequence

@@ -22,7 +22,7 @@ Everything is deterministic given the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     ADL7_LABELS,
     GRID_SIZE,
+    MIN_ACTIVITY_FRAMES,
     PIXEL_COUNT,
     RAW,
     TEMP_MAX_C,
@@ -79,34 +80,23 @@ class SceneParams:
     def __post_init__(self):
         offsets = np.asarray(self.ambient_pixel_offsets, dtype=np.float64).reshape(-1)
         if offsets.shape != (PIXEL_COUNT,):
-            raise ValueError(f"need {PIXEL_COUNT} pixel offsets, got {offsets.size}")
+            raise ValueError(
+                f"ambient_pixel_offsets must hold {PIXEL_COUNT} values, got {offsets.size}"
+            )
         if not TEMP_MIN_C <= self.ambient_mean <= TEMP_MAX_C:
             raise ValueError("ambient_mean outside the sensor range")
-        if self.noise_std <= 0:
+        if not self.noise_std > 0:
             raise ValueError("noise_std must be positive")
-        if self.frame_rate_hz <= 0:
+        if not self.frame_rate_hz > 0:
             raise ValueError("frame_rate_hz must be positive")
-        if self.quantize_step < 0:
+        if not self.quantize_step >= 0:
             raise ValueError("quantize_step must be >= 0")
         object.__setattr__(
             self, "ambient_pixel_offsets", _frozen_array(offsets, (PIXEL_COUNT,))
         )
 
     def to_dict(self) -> dict:
-        return {
-            "ambient_mean": self.ambient_mean,
-            "ambient_pixel_offsets": list(self.ambient_pixel_offsets),
-            "noise_std": self.noise_std,
-            "frame_rate_hz": self.frame_rate_hz,
-            "quantize_step": self.quantize_step,
-        }
-
-
-def scene_from_dict(data: dict) -> SceneParams:
-    unknown = set(data) - {f.name for f in fields(SceneParams)}
-    if unknown:
-        raise ValueError(f"unknown scene key(s): {sorted(unknown)}")
-    return SceneParams(**data)
+        return {**asdict(self), "ambient_pixel_offsets": self.ambient_pixel_offsets.tolist()}
 
 
 @dataclass(frozen=True)
@@ -438,6 +428,11 @@ def generate_corpus(
                 script = builtin_scripts(rng, profile)[label]
                 values, c = render_frames(scene, script, rng)
                 clamped += c
+                name = f"{session_id}_{label}.csv"
+                if len(values) < MIN_ACTIVITY_FRAMES:
+                    raise ValueError(
+                        f"{name}: has {len(values)} frames, needs at least {MIN_ACTIVITY_FRAMES}"
+                    )
                 seq = ThermalSequence(
                     pixels=values,
                     timestamps_ms=np.round(1000.0 * frame_times(scene, script)),
@@ -445,7 +440,6 @@ def generate_corpus(
                     subject_id=subject_id,
                     session_id=session_id,
                 )
-                name = f"{session_id}_{label}.csv"
                 write_sequence(seq, out / name)
                 entries.append(
                     ManifestEntry(path=name, label=label, subject_id=subject_id, session_id=session_id)

@@ -1,5 +1,13 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# CI runs set HYPOTHESIS_PROFILE=ci so that a failing example reproduces on
+# the next run; local runs keep the randomised default.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from thermact.core import load_manifest
 from thermact.synth import generate_corpus

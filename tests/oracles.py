@@ -46,7 +46,7 @@ def features_one_sequence(seq, cfg):
     spatial block, concatenated.
     """
     matrix = seq.pixels
-    temporal = np.abs(dct_matrix(cfg.sequence_len)[: cfg.temporal_k] @ matrix).T.reshape(-1)
+    temporal = np.abs(dct_matrix(len(matrix))[: cfg.temporal_k] @ matrix).T.reshape(-1)
     grid_basis = dct_matrix(8)
     coeffs = np.einsum("ur,frc,vc->fuv", grid_basis, matrix.reshape(-1, 8, 8), grid_basis)
     b = cfg.spatial_block

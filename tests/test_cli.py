@@ -321,3 +321,85 @@ class TestUsability:
 
     def test_no_command_usage_error(self):
         assert main([]) == 2
+
+
+def one_error_line(capsys, *names):
+    """stderr holds one `error:` line naming each of `names`, and no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err, (name, err)
+
+
+class TestMalformedSettings:
+    """Each defect exits 1 with one line naming the file (or flag) and the key."""
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"svm": {"max_epochs": "x"}}', "svm.max_epochs"),
+            ('{"svm": {"regularization_c": null}}', "svm.regularization_c"),
+            ('{"svm": {"tolerance": NaN}}', "svm.tolerance"),
+            ('{"preprocess": {"target_len": true}}', "preprocess.target_len"),
+        ],
+    )
+    def test_config_file(self, corpus_dir, tmp_path, capsys, text, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        args = ["evaluate", "--data", str(corpus_dir / "manifest.json"), "--config", str(cfg_path)]
+        assert main(args) == 1
+        one_error_line(capsys, f"{cfg_path}: {key}")
+
+    def test_override_flag(self, corpus_dir, capsys):
+        args = ["evaluate", "--data", str(corpus_dir / "manifest.json"), "--svm.tolerance", "nan"]
+        assert main(args) == 1
+        one_error_line(capsys, "--svm.tolerance", "svm.tolerance must be a finite number")
+
+    def test_model_config(self, corpus_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
+        data = json.loads(model_path.read_text())
+        data["config"]["features"]["temporal_k"] = "x"
+        model_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        args = ["predict", "--model", str(model_path), "--background",
+                str(corpus_dir / "background.csv"), str(corpus_dir / "s01r1_fall.csv")]
+        assert main(args) == 1
+        one_error_line(capsys, f"{model_path}: config: features.temporal_k")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"noise_std": null}', "noise_std"),
+            ('{"noise_std": Infinity}', "noise_std"),
+            ('{"quantize_step": NaN}', "quantize_step"),
+        ],
+    )
+    def test_scene_file(self, tmp_path, capsys, text, key):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(text)
+        out = tmp_path / "out"
+        args = ["generate", "--out", str(out), "--subjects", "1", "--reps", "1"]
+        args += ["--scene", str(scene_path)]
+        assert main(args) == 1
+        one_error_line(capsys, f"{scene_path}: {key}")
+        assert not (out / "manifest.json").exists()
+
+    def test_scene_file_not_json(self, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text("{ nope")
+        assert main(["generate", "--out", str(tmp_path / "out"), "--scene", str(scene_path)]) == 1
+        one_error_line(capsys, f"{scene_path}: not valid JSON")
+
+    def test_unknown_model_config_section(self, corpus_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
+        data = json.loads(model_path.read_text())
+        data["config"]["extra"] = {}
+        model_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        args = ["predict", "--model", str(model_path), "--background",
+                str(corpus_dir / "background.csv"), str(corpus_dir / "s01r1_fall.csv")]
+        assert main(args) == 1
+        one_error_line(capsys, f"{model_path}: config: unknown config key(s) ['extra']")

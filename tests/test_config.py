@@ -3,8 +3,18 @@ from dataclasses import fields
 
 import pytest
 
+from thermact.classifier import SvmConfig
 from thermact.cli import build_parser
-from thermact.config import PipelineConfig, apply_overrides, config_from_dict
+from thermact.config import (
+    EvalSettings,
+    PipelineConfig,
+    PreprocessSettings,
+    apply_overrides,
+    config_from_dict,
+)
+from thermact.core import ConfigError
+from thermact.features import FeatureConfig
+from thermact.synth import SceneParams
 
 DEFAULT_DICT = {
     "preprocess": {"target_len": 20},
@@ -45,3 +55,51 @@ def test_every_field_has_a_flag_and_a_key(section, f):
 def test_unknown_override_key_rejected():
     with pytest.raises(ValueError, match="unknown config key"):
         apply_overrides(PipelineConfig(), {"svm.momentum": 0.9})
+
+
+def test_values_pass_through_unchanged():
+    # An integer in a float field stays an integer, so the embedded bytes and
+    # the hash are those the configuration had before it was read.
+    data = {
+        "svm": {"regularization_c": 1, "tolerance": 1e-3},
+        "features": {"temporal_k": 4},
+        "preprocess": {"target_len": 16},
+    }
+    config = config_from_dict(data)
+    assert type(config.svm.regularization_c) is int
+    assert config.config_hash() == "29008d8271a6881d"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"svm": {"max_epochs": 2.0}}, "svm.max_epochs must be an integer"),
+        ({"eval": {"k": False}}, "eval.k must be an integer"),
+        ({"svm": {"tolerance": float("inf")}}, "svm.tolerance must be a finite number"),
+        ({"svm": {"regularization_c": 10**400}}, "svm.regularization_c must be a finite number"),
+        ({"eval": {"protocol": 1}}, "eval.protocol must be a string"),
+        ({"svm": {"regularization_c": float("nan")}}, "svm.regularization_c must be a finite"),
+        ({"features": []}, "features must be a JSON object"),
+        ({"features": {"spatial_block": 9}}, r"features.spatial_block must be in \[1, 8\]"),
+        ({"features": {"temporal_k": 21}}, r"features.temporal_k \(21\) cannot exceed"),
+        ({"svm": {"seed": 1, "momentum": 0.9}}, r"unknown config key\(s\) \['svm.momentum'\]"),
+    ],
+)
+def test_malformed_values_name_where_and_key(data, message):
+    with pytest.raises(ConfigError, match=f"^here: {message}"):
+        config_from_dict(data, "here")
+
+
+def test_range_checks_refuse_nan():
+    for make in (
+        lambda: SvmConfig(tolerance=float("nan")),
+        lambda: SvmConfig(regularization_c=float("nan")),
+        lambda: PreprocessSettings(target_len=float("nan")),
+        lambda: EvalSettings(k=float("nan")),
+        lambda: FeatureConfig(temporal_k=float("nan")),
+        lambda: SceneParams(noise_std=float("nan")),
+        lambda: SceneParams(frame_rate_hz=float("nan")),
+        lambda: SceneParams(quantize_step=float("nan")),
+    ):
+        with pytest.raises(ValueError):
+            make()

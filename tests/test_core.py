@@ -293,6 +293,24 @@ class TestManifest:
         with pytest.raises(ManifestError, match="at least 2 frames"):
             load_manifest(path)
 
+    def test_ids_must_be_strings(self, tmp_path):
+        path = _write_corpus(tmp_path, n_subjects=1, n_sessions=1)
+        data = json.loads(path.read_text())
+        data["sensor_id"] = 5
+        data["entries"][0]["subject"] = {"a": 1}
+        data["entries"][1]["session"] = None
+        data["entries"][-1]["session"] = 3  # the background clip
+        path.write_text(json.dumps(data))
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        assert excinfo.value.violations == [
+            '"sensor_id" must be a string',
+            'entry 0 (s0_r0_fall.csv): "subject" must be a string',
+            'entry 1 (s0_r0_sit_still.csv): "session" must be a string',
+            'entry 7 (bg.csv): "session" must be a string',
+        ]
+        assert str(path) in str(excinfo.value)
+
     def test_non_utf8_file_is_one_of_the_violations(self, tmp_path):
         path = _write_corpus(tmp_path, n_subjects=1, n_sessions=1)
         (tmp_path / "s0_r0_fall.csv").write_bytes(b"\xff\xfe20.0")

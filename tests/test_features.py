@@ -26,14 +26,14 @@ def temporal_block(series, k):
     """`feature_matrix`'s temporal block for one pixel; every pixel carries `series`."""
     series = np.asarray(series, dtype=float)
     seq = subtracted_sequence(np.repeat(series[:, None], 64, axis=1))
-    cfg = FeatureConfig(temporal_k=k, spatial_block=1, sequence_len=series.size)
+    cfg = FeatureConfig(temporal_k=k, spatial_block=1)
     return feature_matrix([seq], cfg)[0, :k]
 
 
 def spatial_block(grid, b):
     """`feature_matrix`'s spatial block of a one-frame sequence holding `grid`."""
     seq = subtracted_sequence(np.asarray(grid, dtype=float).reshape(1, 64))
-    cfg = FeatureConfig(temporal_k=1, spatial_block=b, sequence_len=1)
+    cfg = FeatureConfig(temporal_k=1, spatial_block=b)
     return feature_matrix([seq], cfg)[0, 64:]
 
 
@@ -138,7 +138,7 @@ class TestExtractFeatures:
     def test_composed_oracle(self, rng):
         matrix = rng.normal(0, 1.5, (20, 64))
         seq = subtracted_sequence(matrix)
-        vec = extract_features(seq, FeatureConfig(temporal_k=5, spatial_block=3, sequence_len=20))
+        vec = extract_features(seq, FeatureConfig(temporal_k=5, spatial_block=3))
         expected_temporal = []
         for pixel in range(64):
             expected_temporal.extend(np.abs(naive_dct(matrix[:, pixel]))[:5])
@@ -149,9 +149,9 @@ class TestExtractFeatures:
         assert np.allclose(vec[320:], expected_spatial, atol=1e-9)
 
     def test_wrong_length_rejected(self):
-        seq = subtracted_sequence(np.zeros((10, 64)))
-        with pytest.raises(ValueError, match="frames"):
-            extract_features(seq, FeatureConfig(sequence_len=20))
+        seq = subtracted_sequence(np.zeros((4, 64)))
+        with pytest.raises(ValueError, match="temporal_k"):
+            extract_features(seq, FeatureConfig(temporal_k=5))
 
     def test_raw_input_rejected(self):
         seq = ThermalSequence(pixels=np.full((20, 64), 20.0))
@@ -208,11 +208,11 @@ class TestBatchedPathMatchesOracle:
         scale=st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_random_subtracted_sequences(self, seed, n, length, k, b, scale):
-        cfg = FeatureConfig(temporal_k=min(k, length), spatial_block=b, sequence_len=length)
+        cfg = FeatureConfig(temporal_k=min(k, length), spatial_block=b)
         rng = np.random.default_rng(seed)
         seqs = [subtracted_sequence(rng.normal(0, scale, (length, 64))) for _ in range(n)]
         X = feature_matrix(seqs, cfg)
-        assert X.shape == (n, cfg.vector_length)
+        assert X.shape == (n, 64 * cfg.temporal_k + b * b * length)
         for row, seq in zip(X, seqs):
             assert np.array_equal(row, features_one_sequence(seq, cfg))
             assert np.array_equal(row, extract_features(seq, cfg))

@@ -1,0 +1,228 @@
+"""Bounded fuzzing of every file the package reads.
+
+Whatever a config, scene, model, frame CSV or manifest file holds, reading
+it gives a valid object or the package's own error for that kind of file,
+and the error's message names the file.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermact.classifier import ModelFormatError, load_model, save_model, train
+from thermact.config import PipelineConfig, config_from_dict, config_keys, load_config
+from thermact.core import (
+    ConfigError,
+    DatasetManifest,
+    ManifestError,
+    SequenceFormatError,
+    ThermalSequence,
+    from_json_file,
+    load_manifest,
+    read_sequence,
+    write_sequence,
+)
+from thermact.synth import SceneParams
+from toy_data import toy_clusters
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([0, 1, 2, 5, 20, 0.5, 1e-4, "loso", "kfold", "x", ""])
+)
+
+
+def json_values(keys=st.text(max_size=8)):
+    """Arbitrary JSON, its object keys drawn mostly from `keys`."""
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(keys | st.text(max_size=8), children, max_size=5),
+        max_leaves=24,
+    )
+
+
+def write_json(path, value):
+    path.write_text(json.dumps(value), encoding="utf-8")  # NaN and Infinity as JSON extensions
+    return path
+
+
+def assert_names(exc, path):
+    assert str(path) in str(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def some_of(fields):
+    """Objects holding some of `fields` (name -> value strategy)."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+CONFIG_KEYS = st.sampled_from(sorted({part for key, _ in config_keys() for part in key.split(".")}))
+# Values of each field type that often pass, mixed with arbitrary ones.
+LIKELY = {
+    int: st.integers(1, 8),
+    float: st.floats(1e-6, 10.0),
+    str: st.sampled_from(["loso", "kfold"]),
+}
+SECTIONS = {}
+for key, typ in config_keys():
+    section, name = key.split(".")
+    SECTIONS.setdefault(section, {})[name] = LIKELY[typ] | scalars
+CONFIGS = json_values(CONFIG_KEYS) | some_of({k: some_of(v) | scalars for k, v in SECTIONS.items()})
+
+
+@FUZZ
+@given(value=CONFIGS)
+def test_config_file(fuzz_dir, value):
+    path = write_json(fuzz_dir / "config.json", value)
+    try:
+        config = load_config(path)
+    except ConfigError as exc:
+        assert_names(exc, path)
+    else:
+        assert isinstance(config, PipelineConfig)
+        assert config_from_dict(config.to_dict()) == config
+
+
+SCENE_FIELDS = {
+    "ambient_mean": scalars,
+    "ambient_pixel_offsets": st.lists(scalars, min_size=63, max_size=65)
+    | st.lists(st.floats(-1, 1), min_size=64, max_size=64),
+    "noise_std": LIKELY[float] | scalars,
+    "frame_rate_hz": LIKELY[float] | scalars,
+    "quantize_step": LIKELY[float] | scalars,
+}
+
+
+@FUZZ
+@given(value=json_values(st.sampled_from(list(SCENE_FIELDS))) | some_of(SCENE_FIELDS))
+def test_scene_file(fuzz_dir, value):
+    # Construction only: a valid scene may ask for any number of frames.
+    path = write_json(fuzz_dir / "scene.json", value)
+    try:
+        scene = from_json_file(SceneParams, path)
+    except ConfigError as exc:
+        assert_names(exc, path)
+    else:
+        assert isinstance(scene, SceneParams)
+        assert all(map(math.isfinite, [scene.noise_std, scene.frame_rate_hz, scene.quantize_step]))
+
+
+@pytest.fixture(scope="module")
+def model_file(fuzz_dir):
+    X, labels = toy_clusters(n_classes=3, per_class=5, dim=4, seed=0)
+    path = fuzz_dir / "model.json"
+    save_model(train(X, labels), path)
+    return json.loads(path.read_text())
+
+
+@FUZZ
+@given(value=CONFIGS)
+def test_model_config_block(fuzz_dir, model_file, value):
+    path = write_json(fuzz_dir / "model.json", dict(model_file, config=value))
+    try:
+        _, embedded = load_model(path)
+    except ModelFormatError as exc:
+        assert_names(exc, path)
+        return
+    # What predict does with it next.
+    try:
+        config_from_dict(embedded, f"{path}: config")
+    except ConfigError as exc:
+        assert_names(exc, path)
+
+
+GOOD_FIELDS = ["20.0", "21.5", "0", "80", " 3 ", "7", "1e1"]
+BAD_FIELDS = ["-1", "81", "nan", "inf", "1e400", "x", "", "2.5e2", "\x00", "\u00e9"]
+
+
+@st.composite
+def frame_csv(draw):
+    """Bytes near the frame format: rows of 64 or 65 fields, at times one of them bad."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        width = draw(st.sampled_from([63, 64, 65, 66]))
+        fields = [draw(st.sampled_from(GOOD_FIELDS)) for _ in range(width)]
+        if draw(st.booleans()):
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(BAD_FIELDS))
+        rows.append(draw(st.sampled_from([",".join(fields), "", "# comment"])))
+    return "\n".join(rows).encode(draw(st.sampled_from(["utf-8", "utf-16", "latin-1"])), "replace")
+
+
+@FUZZ
+@given(content=st.binary(max_size=300) | frame_csv())
+def test_frame_csv(fuzz_dir, content):
+    path = fuzz_dir / "frames.csv"
+    path.write_bytes(content)
+    try:
+        seq = read_sequence(path)
+    except SequenceFormatError as exc:
+        assert_names(exc, path)
+    else:
+        assert isinstance(seq, ThermalSequence) and len(seq) >= 1
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(fuzz_dir):
+    folder = fuzz_dir / "dataset"
+    folder.mkdir()
+    for name, frames in (("two.csv", 2), ("one.csv", 1)):
+        write_sequence(ThermalSequence(pixels=np.full((frames, 64), 20.0)), folder / name)
+    (folder / "bad.csv").write_text("not,a,frame\n")
+    return folder
+
+
+MANIFEST_KEYS = st.sampled_from(
+    ["label_set", "entries", "sensor_id", "path", "label", "subject", "session", "role"]
+)
+NAMES = st.sampled_from(["two.csv", "one.csv", "bad.csv", "missing.csv", "", ".", "fall", "s1"])
+IDS = {"subject": NAMES | scalars, "session": NAMES | scalars}
+ENTRY = some_of(
+    {"path": NAMES | scalars, "label": NAMES | scalars, "role": st.just("background"), **IDS}
+)
+NEAR_VALID_ENTRY = st.fixed_dictionaries(
+    {"path": st.sampled_from(["two.csv", "one.csv", "bad.csv"]), "label": st.just("fall")},
+    optional={"role": st.just("background"), **IDS},
+)
+
+
+@FUZZ
+@given(
+    value=json_values(MANIFEST_KEYS)
+    | some_of(
+        {
+            "label_set": st.lists(NAMES, max_size=3) | scalars,
+            "entries": st.lists(ENTRY, max_size=4) | scalars,
+            "sensor_id": NAMES | scalars,
+        }
+    )
+    | st.fixed_dictionaries(
+        {
+            "label_set": st.just(["fall"]),
+            "entries": st.lists(NEAR_VALID_ENTRY, max_size=3, unique_by=lambda e: e["path"]),
+        },
+        optional={"sensor_id": NAMES | scalars},
+    )
+)
+def test_manifest(manifest_dir, value):
+    path = write_json(manifest_dir / "manifest.json", value)
+    try:
+        manifest = load_manifest(path)
+    except ManifestError as exc:
+        assert_names(exc, path)
+    else:
+        assert isinstance(manifest, DatasetManifest)
+        ids = [manifest.sensor_id] + [e.subject_id for e in manifest.entries]
+        assert all(isinstance(i, str) for i in ids)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermact.core import ADL7_LABELS, load_manifest
+from thermact.core import ADL7_LABELS, from_json, load_manifest
 from thermact.synth import (
     ActivityScript,
     SceneParams,
@@ -20,7 +20,6 @@ from thermact.synth import (
     generate_corpus,
     render_frames,
     render_sequence,
-    scene_from_dict,
 )
 from toy_data import toy_clusters
 
@@ -43,13 +42,13 @@ class TestSceneParams:
 
     def test_dict_round_trip(self):
         scene = SceneParams(ambient_mean=22.0, noise_std=0.1)
-        again = scene_from_dict(scene.to_dict())
+        again = from_json(SceneParams, scene.to_dict(), "scene")
         assert again.ambient_mean == 22.0
         assert np.array_equal(again.ambient_pixel_offsets, scene.ambient_pixel_offsets)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            scene_from_dict({"nope": 1})
+            from_json(SceneParams, {"nope": 1}, "scene")
 
 
 class TestActivityScript:
@@ -234,6 +233,17 @@ class TestCorpus:
     def test_rejects_bad_counts(self, tmp_path):
         with pytest.raises(ValueError):
             generate_corpus(tmp_path / "c", subjects=0)
+
+    # Only tiny rates: the frame count is duration x rate, so a huge rate
+    # allocates without bound.
+    @pytest.mark.parametrize("rate", [1e-300, 0.4])
+    def test_one_frame_activity_refused_before_the_manifest(self, tmp_path, rate):
+        # load_manifest refuses an activity of fewer than 2 frames, so
+        # generate must not write a corpus holding one.
+        out = tmp_path / "c"
+        with pytest.raises(ValueError, match="s01r1_fall.csv: has 1 frames, needs at least 2"):
+            generate_corpus(out, subjects=1, reps=1, scene=SceneParams(frame_rate_hz=rate))
+        assert not (out / "manifest.json").exists()
 
 
 class TestToyClusters:
