@@ -70,6 +70,8 @@ class SvmConfig:
             raise ValueError("max_epochs must be >= 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +363,7 @@ def load_model(path: str | Path) -> tuple[SvmModel, dict]:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ThermactError(f"cannot read model from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ModelFormatError(f"{path} is not a valid model file: {exc}") from exc
     if not isinstance(data, dict) or "version" not in data:
         raise ModelFormatError(f"{path} is not a valid model file (no version field)")

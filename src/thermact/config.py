@@ -45,6 +45,8 @@ class EvalSettings:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
         if not self.k >= 2:
             raise ValueError("k must be >= 2")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

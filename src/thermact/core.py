@@ -6,7 +6,7 @@ validity rules that construction and parsing both apply. Frame files are
 plain CSV (one frame per row); which activity a recording shows, and who
 performed it, lives in a JSON manifest so recordings can be re-labeled
 without touching pixel data. Loading a manifest parses every file once and
-holds each labeled sequence until a later stage looks it up, so loading and
+holds each recording it parsed until a later stage looks it up, so loading and
 then using a manifest reads each file once.
 """
 
@@ -135,7 +135,7 @@ def from_json_file(cls, path: str | Path):
     """`from_json` of the JSON file at `path`; every error names the file."""
     try:
         data = json.loads(Path(path).read_bytes())
-    except ValueError as exc:  # not JSON, or not UTF-8 text
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     return from_json(cls, data, str(path))
 
@@ -188,24 +188,22 @@ def _first_bad_frame(
 
 @dataclass(frozen=True, eq=False)
 class ThermalSequence:
-    """The frames of one recording plus its metadata.
+    """The frames of one recording.
 
     `pixels` is a read-only (F, 64) float64 array, one row-major 8x8 grid of
     temperatures (degrees Celsius) per frame; `timestamps_ms` is a read-only
     (F,) int64 array, all 0 when the source carried no timing (the default).
     `stage` tracks whether the frames are raw sensor readings or have had a
     background subtracted; raw frames must lie within the sensor measurement
-    range, subtracted frames may be negative. Labeled activity instances are
-    expected to hold at least 2 frames; single-frame sequences are permitted
-    so that e.g. a one-frame empty-scene clip can still seed a background
-    model.
+    range, subtracted frames may be negative. What a recording shows and who
+    is in it are manifest facts (`ManifestEntry`), not part of the sequence.
+    Activity recordings are expected to hold at least 2 frames; single-frame
+    sequences are permitted so that e.g. a one-frame empty-scene clip can
+    still seed a background model.
     """
 
     pixels: np.ndarray
     timestamps_ms: np.ndarray | None = None
-    label: str | None = None
-    subject_id: str = ""
-    session_id: str = ""
     stage: str = RAW
 
     def __post_init__(self):
@@ -233,10 +231,7 @@ class ThermalSequence:
         if not isinstance(other, ThermalSequence):
             return NotImplemented
         return (
-            self.label == other.label
-            and self.subject_id == other.subject_id
-            and self.session_id == other.session_id
-            and self.stage == other.stage
+            self.stage == other.stage
             and np.array_equal(self.timestamps_ms, other.timestamps_ms)
             and np.array_equal(self.pixels, other.pixels)
         )
@@ -251,7 +246,7 @@ class ThermalSequence:
 
 
 def parse_sequence(source: bytes | str) -> ThermalSequence:
-    """Parse frame CSV content into a raw, unlabeled sequence.
+    """Parse frame CSV content into a raw sequence.
 
     Raises SequenceFormatError naming the first offending 1-based line for
     text that is not UTF-8, rows with the wrong field count, non-numeric or
@@ -359,10 +354,9 @@ class DatasetManifest:
     Construction validates the structural invariants (non-empty, labels drawn
     from `label_set`, unique paths); file-level checks happen in
     `load_manifest`. `root` is the directory entry paths are resolved against.
-    `_parsed` maps each entry and background path to the stamp of its file,
-    the labeled sequence parsed from it until `recording` hands that out,
-    and its metadata; `load_manifest` fills it, a manifest built in memory
-    has none.
+    `_parsed` maps each entry and background path to the stamp of its file
+    and the sequence parsed from it until `recording` hands that out (None
+    after); `load_manifest` fills it, a manifest built in memory has none.
     """
 
     entries: tuple[ManifestEntry, ...]
@@ -384,7 +378,7 @@ class DatasetManifest:
         return _resolve(self.root, path)
 
     def recording(self, path: str) -> ThermalSequence:
-        """The labeled sequence of an entry or background path.
+        """The frames of an entry or background path.
 
         The first lookup hands out the sequence `load_manifest` parsed, and
         the manifest lets go of it. A later lookup, or one after the file has
@@ -392,15 +386,15 @@ class DatasetManifest:
         longer holds.
         """
         try:
-            stamp, seq, metadata = self._parsed[path]
+            stamp, seq = self._parsed[path]
         except KeyError:
             raise ManifestError(
                 [f"no parsed recording for {path!r}: load the manifest with load_manifest"]
             ) from None
         file = self.resolve(path)
         if seq is None or _stamp(file.stat()) != stamp:
-            return _derived(read_sequence(file), **metadata)
-        self._parsed[path] = stamp, None, metadata
+            return read_sequence(file)
+        self._parsed[path] = stamp, None
         return seq
 
 
@@ -462,16 +456,16 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     Every referenced frame file must exist and parse; activity entries must
     hold at least MIN_ACTIVITY_FRAMES frames; subject, session and sensor
     ids must be strings. All violations are collected and reported together
-    in a single ManifestError. The manifest holds the labeled
-    sequences it parsed until `load_sequences`/`load_backgrounds` look them
-    up (see `DatasetManifest.recording`).
+    in a single ManifestError. The manifest holds the sequences it parsed
+    until `load_sequences`/`load_backgrounds` look them up (see
+    `DatasetManifest.recording`).
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ManifestError([f"cannot read manifest {path}: {exc}"]) from exc
-    except ValueError as exc:  # not JSON, or not UTF-8 text
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ManifestError([f"manifest {path} is not valid JSON: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ManifestError([f"manifest {path}: top level must be a JSON object"])
@@ -516,19 +510,14 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     root = path.parent
     parsed = {}
-    wanted = [
-        (e.path, MIN_ACTIVITY_FRAMES,
-         dict(label=e.label, subject_id=e.subject_id, session_id=e.session_id))
-        for e in entries
-    ]
-    wanted += [(bg.path, 1, dict(session_id=bg.session_id)) for bg in backgrounds]
-    for rel, min_frames, metadata in wanted:
+    wanted = [(e.path, MIN_ACTIVITY_FRAMES) for e in entries]
+    wanted += [(bg.path, 1) for bg in backgrounds]
+    for rel, min_frames in wanted:
         recording, problem = _read_checked(_resolve(root, rel), min_frames)
         if problem is not None:
             violations.append(problem)
         else:
-            stamp, seq = recording
-            parsed[rel] = stamp, _derived(seq, **metadata), metadata
+            parsed[rel] = recording
 
     if violations:
         raise ManifestError(violations, f"manifest {path}")
@@ -557,7 +546,7 @@ def _read_checked(path: Path, min_frames: int):
 
 
 def load_sequences(manifest: DatasetManifest) -> list[ThermalSequence]:
-    """The labeled sequence of every activity entry, in manifest order."""
+    """The frames of every activity entry, in manifest order: item i is entry i's."""
     return [manifest.recording(e.path) for e in manifest.entries]
 
 

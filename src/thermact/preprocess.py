@@ -32,7 +32,6 @@ class BackgroundModel:
     """Per-pixel mean temperature of an empty scene."""
 
     mean_pixels: np.ndarray
-    source_frame_count: int
 
     def __post_init__(self):
         mp = np.asarray(self.mean_pixels, dtype=np.float64).reshape(-1)
@@ -42,8 +41,6 @@ class BackgroundModel:
             raise ValueError("background contains non-finite values")
         if mp.min() < TEMP_MIN_C or mp.max() > TEMP_MAX_C:
             raise ValueError(f"background mean outside [{TEMP_MIN_C}, {TEMP_MAX_C}] C")
-        if self.source_frame_count < 1:
-            raise ValueError("source_frame_count must be >= 1")
         object.__setattr__(self, "mean_pixels", _frozen_array(mp, (PIXEL_COUNT,)))
 
 
@@ -51,15 +48,13 @@ def estimate_background(empty_scene: ThermalSequence) -> BackgroundModel:
     """Average each pixel over all frames of a raw empty-scene clip."""
     if empty_scene.stage != RAW:
         raise ValueError("background must be estimated from a raw sequence")
-    return BackgroundModel(
-        mean_pixels=empty_scene.pixels.mean(axis=0), source_frame_count=len(empty_scene)
-    )
+    return BackgroundModel(mean_pixels=empty_scene.pixels.mean(axis=0))
 
 
 def subtract_background(seq: ThermalSequence, bg: BackgroundModel) -> ThermalSequence:
     """Subtract the background mean from every pixel of every frame.
 
-    Metadata and timestamps are preserved; the result is marked subtracted.
+    Timestamps are preserved; the result is marked subtracted.
     Subtracting twice is an error. Raw pixels and the background mean both
     lie within the sensor range, so the difference is finite and the result
     valid without a second check.

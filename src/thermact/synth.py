@@ -120,7 +120,6 @@ class ActivityScript:
     unless `allow_offgrid` is set (fall and exit style scripts).
     """
 
-    label: str | None
     duration_s: float
     keys: tuple[ScriptKey, ...]
     allow_offgrid: bool = False
@@ -154,10 +153,10 @@ class ActivityScript:
             channels.append(np.interp(u, us, vals))
         return tuple(channels)
 
-    def mirrored_x(self, label: str | None = None) -> "ActivityScript":
+    def mirrored_x(self) -> "ActivityScript":
         """The same script reflected left-right (x -> 7 - x)."""
         keys = tuple(replace(k, x=(GRID_SIZE - 1) - k.x) for k in self.keys)
-        return replace(self, keys=keys, label=label if label is not None else self.label)
+        return replace(self, keys=keys)
 
 
 def blob_field(script: ActivityScript, u: np.ndarray) -> np.ndarray:
@@ -205,12 +204,10 @@ def render_frames(
 def render_sequence(
     scene: SceneParams, script: ActivityScript, seed: int | np.random.Generator
 ) -> ThermalSequence:
-    """Render a script into a raw labeled sequence."""
+    """Render a script into a raw sequence."""
     values, _ = render_frames(scene, script, seed)
     times = frame_times(scene, script)
-    return ThermalSequence(
-        pixels=values, timestamps_ms=np.round(1000.0 * times), label=script.label, stage=RAW
-    )
+    return ThermalSequence(pixels=values, timestamps_ms=np.round(1000.0 * times), stage=RAW)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ def _still_script(label, draw, profile, duration):
         ScriptKey(0.0, cx, cy, sigma, sigma, amp),
         ScriptKey(1.0, cx, cy, sigma, sigma, amp),
     )
-    return ActivityScript(label=label, duration_s=duration, keys=keys)
+    return ActivityScript(duration_s=duration, keys=keys)
 
 
 def _transition_script(label, draw, profile, duration):
@@ -290,7 +287,7 @@ def _transition_script(label, draw, profile, duration):
         ScriptKey(0.45, cx + 0.6 * dx, cy + 0.6 * dy, mid_sigma, mid_sigma, mid_amp),
         ScriptKey(1.0, cx + dx, cy + dy, end[0], end[0], end[1]),
     )
-    return ActivityScript(label=label, duration_s=duration, keys=keys)
+    return ActivityScript(duration_s=duration, keys=keys)
 
 
 def _fall_script(draw, profile, duration):
@@ -306,7 +303,7 @@ def _fall_script(draw, profile, duration):
         ScriptKey(0.4, cx + 0.55 * (ex - cx), cy + 0.55 * (ey - cy), 1.15, 1.15, amp0 - 0.7),
         ScriptKey(1.0, ex, ey, 1.7 + profile.sigma_shift, 1.7 + profile.sigma_shift, 3.9 + profile.amplitude_shift),
     )
-    return ActivityScript(label="fall", duration_s=duration, keys=keys, allow_offgrid=True)
+    return ActivityScript(duration_s=duration, keys=keys, allow_offgrid=True)
 
 
 def _walk_script(draw, profile, duration):
@@ -327,13 +324,11 @@ def _walk_script(draw, profile, duration):
         ScriptKey(0.6, x0 + 0.55 * span, lane, sigma, sigma, amp0 + 0.38),
         ScriptKey(1.0, x1, lane, sigma, sigma, amp1),
     )
-    return ActivityScript(label="walk_left_right", duration_s=duration, keys=keys)
+    return ActivityScript(duration_s=duration, keys=keys)
 
 
 def builtin_scripts(
-    rng: np.random.Generator | None = None,
-    profile: SubjectProfile | None = None,
-    durations: dict[str, float] | None = None,
+    rng: np.random.Generator | None = None, profile: SubjectProfile | None = None
 ) -> dict[str, ActivityScript]:
     """One script per built-in label, jittered from `rng` when given.
 
@@ -341,14 +336,13 @@ def builtin_scripts(
     they are exact mirror images of each other.
     """
     profile = profile or SubjectProfile()
-    durations = {**DEFAULT_DURATIONS_S, **(durations or {})}
     draw = _Draw(rng)
 
     def dur(label):
-        return durations[label] * profile.speed_factor * draw(0.92, 1.08)
+        return DEFAULT_DURATIONS_S[label] * profile.speed_factor * draw(0.92, 1.08)
 
     # falls complete within their nominal duration: jitter only shortens them
-    fall_duration = min(durations["fall"], dur("fall"))
+    fall_duration = min(DEFAULT_DURATIONS_S["fall"], dur("fall"))
     scripts = {
         "fall": _fall_script(draw, profile, fall_duration),
         "sit_still": _still_script("sit_still", draw, profile, dur("sit_still")),
@@ -358,7 +352,7 @@ def builtin_scripts(
     }
     walk = _walk_script(draw, profile, dur("walk_left_right"))
     scripts["walk_left_right"] = walk
-    scripts["walk_right_left"] = walk.mirrored_x(label="walk_right_left")
+    scripts["walk_right_left"] = walk.mirrored_x()
     return scripts
 
 
@@ -368,7 +362,7 @@ def empty_scene_script(duration_s: float = 6.0) -> ActivityScript:
         ScriptKey(0.0, 3.5, 3.5, 1.0, 1.0, 0.0),
         ScriptKey(1.0, 3.5, 3.5, 1.0, 1.0, 0.0),
     )
-    return ActivityScript(label=None, duration_s=duration_s, keys=keys)
+    return ActivityScript(duration_s=duration_s, keys=keys)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +391,8 @@ def generate_corpus(
     """
     if subjects < 1 or reps < 1:
         raise ValueError("subjects and reps must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     scene = scene or SceneParams()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -433,14 +429,8 @@ def generate_corpus(
                     raise ValueError(
                         f"{name}: has {len(values)} frames, needs at least {MIN_ACTIVITY_FRAMES}"
                     )
-                seq = ThermalSequence(
-                    pixels=values,
-                    timestamps_ms=np.round(1000.0 * frame_times(scene, script)),
-                    label=label,
-                    subject_id=subject_id,
-                    session_id=session_id,
-                )
-                write_sequence(seq, out / name)
+                stamps = np.round(1000.0 * frame_times(scene, script))
+                write_sequence(ThermalSequence(pixels=values, timestamps_ms=stamps), out / name)
                 entries.append(
                     ManifestEntry(path=name, label=label, subject_id=subject_id, session_id=session_id)
                 )

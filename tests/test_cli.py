@@ -323,6 +323,10 @@ class TestUsability:
         assert main([]) == 2
 
 
+# Nested deeper than the JSON decoder's recursion limit.
+DEEP_JSON = "[" * 100_000
+
+
 def one_error_line(capsys, *names):
     """stderr holds one `error:` line naming each of `names`, and no traceback."""
     err = capsys.readouterr().err
@@ -342,6 +346,7 @@ class TestMalformedSettings:
             ('{"svm": {"regularization_c": null}}', "svm.regularization_c"),
             ('{"svm": {"tolerance": NaN}}', "svm.tolerance"),
             ('{"preprocess": {"target_len": true}}', "preprocess.target_len"),
+            pytest.param(DEEP_JSON, "not valid JSON", id="nested-too-deep"),
         ],
     )
     def test_config_file(self, corpus_dir, tmp_path, capsys, text, key):
@@ -352,9 +357,15 @@ class TestMalformedSettings:
         one_error_line(capsys, f"{cfg_path}: {key}")
 
     def test_override_flag(self, corpus_dir, capsys):
-        args = ["evaluate", "--data", str(corpus_dir / "manifest.json"), "--svm.tolerance", "nan"]
-        assert main(args) == 1
-        one_error_line(capsys, "--svm.tolerance", "svm.tolerance must be a finite number")
+        cases = [
+            (["--svm.tolerance", "nan"], "svm.tolerance must be a finite number"),
+            (["--svm.seed", "-1"], "svm.seed must be >= 0"),
+            (["--eval.protocol", "kfold", "--eval.seed", "-1"], "eval.seed must be >= 0"),
+        ]
+        for flags, message in cases:
+            args = ["evaluate", "--data", str(corpus_dir / "manifest.json"), *flags]
+            assert main(args) == 1, flags
+            one_error_line(capsys, flags[-2], message)
 
     def test_model_config(self, corpus_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -374,6 +385,7 @@ class TestMalformedSettings:
             ('{"noise_std": null}', "noise_std"),
             ('{"noise_std": Infinity}', "noise_std"),
             ('{"quantize_step": NaN}', "quantize_step"),
+            pytest.param(DEEP_JSON, "not valid JSON", id="nested-too-deep"),
         ],
     )
     def test_scene_file(self, tmp_path, capsys, text, key):
@@ -391,6 +403,32 @@ class TestMalformedSettings:
         scene_path.write_text("{ nope")
         assert main(["generate", "--out", str(tmp_path / "out"), "--scene", str(scene_path)]) == 1
         one_error_line(capsys, f"{scene_path}: not valid JSON")
+
+    def test_negative_seed_makes_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out), "--seed", "-1"]) == 1
+        one_error_line(capsys, "seed must be >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [pytest.param(DEEP_JSON.encode(), id="nested-too-deep"), pytest.param(b"\xff{}", id="not-utf8")],
+    )
+    def test_model_file_not_json(self, corpus_dir, tmp_path, capsys, content):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(content)
+        args = ["predict", "--model", str(model_path), "--background",
+                str(corpus_dir / "background.csv"), str(corpus_dir / "s01r1_fall.csv")]
+        assert main(args) == 1
+        one_error_line(capsys, f"{model_path} is not a valid model file")
+
+    def test_manifest_nested_too_deep(self, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(DEEP_JSON)
+        assert main(["evaluate", "--data", str(manifest_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"manifest {manifest_path} is not valid JSON" in err
 
     def test_unknown_model_config_section(self, corpus_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"

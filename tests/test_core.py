@@ -343,13 +343,7 @@ class TestManifest:
     def test_recordings_are_the_parsed_files(self, tmp_path):
         manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))
         (seq, *_), backgrounds = load_sequences(manifest), load_backgrounds(manifest)
-        entry = manifest.entries[0]
-        assert seq == ThermalSequence(
-            pixels=read_sequence(manifest.resolve(entry.path)).pixels,
-            label=entry.label,
-            subject_id=entry.subject_id,
-            session_id=entry.session_id,
-        )
+        assert seq == read_sequence(manifest.resolve(manifest.entries[0].path))
         assert backgrounds[""] == read_sequence(tmp_path / "bg.csv")
         assert "_parsed=" not in repr(manifest)
         assert manifest == DatasetManifest(
@@ -386,14 +380,8 @@ class TestManifest:
 
         assert load_backgrounds(manifest)[""] == warmer_bg
         sequences = load_sequences(manifest)
-        assert sequences[2] == constant_sequence(
-            20.0, 22.0, 23.0,
-            label=entry.label, subject_id=entry.subject_id, session_id=entry.session_id,
-        )
-        assert sequences[1] == ThermalSequence(
-            pixels=constant_sequence(20.0, 21.0).pixels,
-            label=manifest.entries[1].label, subject_id="s0", session_id="s0r0",
-        )
+        assert sequences[2] == constant_sequence(20.0, 22.0, 23.0)
+        assert sequences[1] == constant_sequence(20.0, 21.0)
         assert calls == [tmp_path / "bg.csv", manifest.resolve(entry.path)]
 
     def test_a_file_deleted_after_loading_is_an_error(self, tmp_path):
@@ -413,12 +401,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="bg.csv"):
             load_backgrounds(manifest)
 
-    def test_load_sequences_attaches_metadata(self, tmp_path):
-        manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))
+    def test_load_sequences_in_manifest_order(self, tmp_path):
+        path = _write_corpus(tmp_path, n_subjects=1, n_sessions=1)
+        for i, label in enumerate(ADL7_LABELS):  # a distinct recording per entry
+            write_sequence(constant_sequence(20.0, 21.0 + i), tmp_path / f"s0_r0_{label}.csv")
+        manifest = load_manifest(path)
         sequences = load_sequences(manifest)
         assert len(sequences) == 7
-        assert sequences[0].label == manifest.entries[0].label
-        assert sequences[0].subject_id == "s0"
+        assert sequences == [read_sequence(manifest.resolve(e.path)) for e in manifest.entries]
+        assert len({s.pixels[1, 0] for s in sequences}) == 7
 
     def test_write_then_load(self, tmp_path, small_corpus):
         out = tmp_path / "copy.json"

@@ -26,7 +26,7 @@ from toy_data import toy_clusters
 
 def static_script(x=3.5, y=3.5, sigma=1.0, amp=6.0, duration=2.0):
     keys = (ScriptKey(0.0, x, y, sigma, sigma, amp), ScriptKey(1.0, x, y, sigma, sigma, amp))
-    return ActivityScript(label="sit_still", duration_s=duration, keys=keys)
+    return ActivityScript(duration_s=duration, keys=keys)
 
 
 class TestSceneParams:
@@ -54,17 +54,13 @@ class TestSceneParams:
 class TestActivityScript:
     def test_degenerate_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
-            ActivityScript(
-                label="x",
-                duration_s=1.0,
-                keys=(ScriptKey(0.0, 3.5, 3.5, 0.0, 1.0, 5.0),),
-            )
+            ActivityScript(duration_s=1.0, keys=(ScriptKey(0.0, 3.5, 3.5, 0.0, 1.0, 5.0),))
 
     def test_offgrid_path_rejected_unless_allowed(self):
         keys = (ScriptKey(0.0, 20.0, 3.5, 1.0, 1.0, 5.0),)
         with pytest.raises(ValueError, match="grid"):
-            ActivityScript(label="x", duration_s=1.0, keys=keys)
-        ActivityScript(label="x", duration_s=1.0, keys=keys, allow_offgrid=True)
+            ActivityScript(duration_s=1.0, keys=keys)
+        ActivityScript(duration_s=1.0, keys=keys, allow_offgrid=True)
 
     def test_mirror(self):
         script = static_script(x=1.0)
@@ -217,7 +213,8 @@ class TestCorpus:
 
         from thermact.core import load_sequences
 
-        seq = [s for s in load_sequences(manifest) if s.label == "sit_still"][0]
+        i = [e.label for e in manifest.entries].index("sit_still")
+        seq = load_sequences(manifest)[i]
         # ground truth ambient; off-blob = pixels the blob never warms
         residual = seq.pixels - scene.ambient_mean - scene.ambient_pixel_offsets
         per_pixel_peak = np.abs(residual).max(axis=0)
