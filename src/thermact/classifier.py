@@ -177,6 +177,10 @@ def _train_ovr(
     """
     C, m = Y.shape
     lam = 1.0 / (cfg.regularization_c * m)
+    if not 0.0 < lam < math.inf:
+        raise ValueError(
+            f"regularization_c {cfg.regularization_c!r} gives lam = 1/(C*m) = {lam!r} at m = {m}"
+        )
     tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
     slack = 8.0 * max(Zb.shape[1], m) * np.finfo(np.float64).eps
@@ -292,6 +296,8 @@ def train(
     y_index = np.array([ordered.index(l) for l in labels])
     Y = np.where(y_index == np.arange(len(ordered))[:, None], 1.0, -1.0)
     W, epochs, converged, objectives = _train_ovr(Zb, Y, cfg)
+    if not np.isfinite(W).all():
+        raise ValueError(f"regularization_c {cfg.regularization_c!r} gives non-finite weights")
     weights, biases = np.ascontiguousarray(W[:, :-1]), W[:, -1].copy()
 
     weights.flags.writeable = False
@@ -321,7 +327,7 @@ def predict(model: SvmModel, feature) -> tuple[str, np.ndarray]:
 
 
 def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
-    """Labels and (N, C) score matrix for many vectors.
+    """Labels and (N, C) score matrix for many vectors (N may be 0).
 
     Rows go through the same path as `predict`, so batch output is
     bit-identical to one-at-a-time prediction.
@@ -329,7 +335,9 @@ def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
     X = _as_matrix(features)
     _require_finite(X)
     # One row at a time: a batched product rounds differently in the last bits.
-    scores = np.stack([model.decision_scores(row) for row in X])
+    scores = np.empty((len(X), len(model.classes)))
+    for i, row in enumerate(X):
+        scores[i] = model.decision_scores(row)
     labels = [model.classes[i] for i in np.argmax(scores, axis=1)]
     return labels, scores
 

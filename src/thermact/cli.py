@@ -9,6 +9,8 @@ such as --features.temporal_k.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -58,18 +60,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_featurize(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     manifest = load_manifest(args.data)
-    X, labels = prepare_features(manifest, config.preprocess.target_len, config.features)
-    lines = ["# label,subject," + ",".join(f"f{i}" for i in range(X.shape[1]))]
-    for entry, row in zip(manifest.entries, X):
-        lines.append(
-            f"{entry.label},{entry.subject_id}," + ",".join(repr(float(v)) for v in row)
-        )
-    text = "\n".join(lines) + "\n"
+    X, _ = prepare_features(manifest, config.preprocess.target_len, config.features)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["# label", "subject", *(f"f{i}" for i in range(X.shape[1]))])
+    for entry, row in zip(manifest.entries, X.tolist()):
+        writer.writerow([entry.label, entry.subject_id, *map(repr, row)])
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(out.getvalue(), encoding="utf-8")
         print(f"wrote {X.shape[0]} x {X.shape[1]} feature rows to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out.getvalue())
     return 0
 
 
@@ -86,15 +87,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     manifest = load_manifest(args.data)
-    folds = _folds_for(config, manifest)
-    report = run_pipeline_cv(
-        manifest,
-        folds,
-        target_len=config.preprocess.target_len,
-        feature_config=config.features,
-        svm_config=config.svm,
-        config_echo=config.to_dict(),
-    )
+    report = run_pipeline_cv(manifest, _folds_for(config, manifest), config)
     print(report.confusion.to_text())
     print(f"overall accuracy:  {100.0 * report.overall_accuracy:.2f}%")
     if report.fall_sensitivity is not None:
@@ -102,11 +95,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if report.fall_specificity is not None:
         print(f"fall specificity:  {100.0 * report.fall_specificity:.2f}%")
     if args.report:
-        payload = report.to_json_dict()
-        payload["protocol"] = config.eval.protocol
-        payload["tool_version"] = __version__
-        payload["config_hash"] = config.config_hash()
-        Path(args.report).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        Path(args.report).write_text(json.dumps(report.to_json_dict()) + "\n", encoding="utf-8")
         print(f"report written to {args.report}")
     return 0
 
@@ -115,18 +104,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model, embedded = load_model(args.model)
     config = config_from_dict(embedded, f"{args.model}: config")
     background = estimate_background(read_sequence(args.background))
-    feature_cfg = config.features
     for path in args.sequences:
         seq = read_sequence(path)
         seq = subtract_background(seq, background)
         seq = resample_equal_interval(seq, config.preprocess.target_len)
-        vector = extract_features(seq, feature_cfg)
-        if len(vector) != model.dimension:
-            raise ThermactError(
-                f"{path}: feature dimension {len(vector)} does not match model "
-                f"dimension {model.dimension} (was the model trained with a "
-                f"different configuration?)"
-            )
+        vector = extract_features(seq, config.features)
         try:
             label, scores = predict(model, vector)
         except ValueError as exc:

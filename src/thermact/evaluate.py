@@ -3,18 +3,22 @@
 Two splitters are provided: leave-one-subject-out (one fold per subject) and
 class-stratified k-fold. `run_pipeline_cv` drives the full pipeline per fold
 (standardization statistics are learned inside each fold's training set by
-the classifier, so nothing leaks into the test split) and pools all fold
-predictions into a single confusion matrix.
+the classifier, so nothing leaks into the test split). Its report holds the
+per-sequence predictions, the fold models and the config that was run;
+the pooled confusion matrix and every accuracy derive from the predictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from . import classifier as svm
+from .config import PipelineConfig
 from .core import DatasetManifest, ThermactError, load_backgrounds, load_sequences
 from .features import FeatureConfig, feature_matrix
 from .preprocess import (
@@ -159,7 +163,6 @@ def stratified_kfold_split(
 
 @dataclass(frozen=True)
 class SequencePrediction:
-    index: int
     path: str
     true_label: str
     predicted_label: str
@@ -169,43 +172,82 @@ class SequencePrediction:
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    confusion: ConfusionMatrix
-    overall_accuracy: float
-    per_class_accuracy: tuple[float | None, ...]
-    fall_sensitivity: float | None
-    fall_specificity: float | None
-    fold_assignments: tuple[int, ...]
+    """What a cross-validation ran and predicted; every summary derives from it.
+
+    `predictions` holds one entry per manifest entry, in manifest order, and
+    `fold_models` one model per fold.
+    """
+
+    labels: tuple[str, ...]
     predictions: tuple[SequencePrediction, ...]
-    fold_accuracies: tuple[float, ...]
-    fold_models: tuple[svm.SvmModel, ...] = field(repr=False, default=())
-    config: dict | None = None
+    fold_models: tuple[svm.SvmModel, ...] = field(repr=False)
+    config: PipelineConfig
+
+    @cached_property
+    def confusion(self) -> ConfusionMatrix:
+        return confusion_from_records(
+            [p.true_label for p in self.predictions],
+            [p.predicted_label for p in self.predictions],
+            self.labels,
+        )
+
+    @property
+    def overall_accuracy(self) -> float:
+        return self.confusion.overall_accuracy()
+
+    @property
+    def per_class_accuracy(self) -> tuple[float | None, ...]:
+        return self.confusion.per_class_accuracy()
+
+    @cached_property
+    def _fall_pair(self) -> tuple[float | None, float | None]:
+        return fall_metrics(self.confusion) if FALL_LABEL in self.labels else (None, None)
+
+    @property
+    def fall_sensitivity(self) -> float | None:
+        return self._fall_pair[0]
+
+    @property
+    def fall_specificity(self) -> float | None:
+        return self._fall_pair[1]
+
+    @property
+    def fold_assignments(self) -> tuple[int, ...]:
+        return tuple(p.fold for p in self.predictions)
+
+    @property
+    def fold_accuracies(self) -> tuple[float, ...]:
+        folds = [[] for _ in self.fold_models]
+        for p in self.predictions:
+            folds[p.fold].append(p.predicted_label == p.true_label)
+        return tuple(sum(hits) / len(hits) for hits in folds)
 
     def to_json_dict(self) -> dict:
-        """JSON-ready report at full precision (models are not serialized)."""
-        per_class = {
-            label: acc for label, acc in zip(self.confusion.labels, self.per_class_accuracy)
-        }
+        """The report file's JSON at full precision (models are not serialized)."""
         return {
-            "labels": list(self.confusion.labels),
-            "confusion": [[int(c) for c in row] for row in self.confusion.counts],
+            "labels": list(self.labels),
+            "confusion": self.confusion.counts.tolist(),
             "overall_accuracy": self.overall_accuracy,
-            "per_class_accuracy": per_class,
+            "per_class_accuracy": dict(zip(self.labels, self.per_class_accuracy)),
             "fall_sensitivity": self.fall_sensitivity,
             "fall_specificity": self.fall_specificity,
             "fold_accuracies": list(self.fold_accuracies),
             "fold_assignments": list(self.fold_assignments),
             "predictions": [
                 {
-                    "index": p.index,
+                    "index": i,
                     "path": p.path,
                     "true": p.true_label,
                     "predicted": p.predicted_label,
                     "fold": p.fold,
                     "scores": list(p.scores),
                 }
-                for p in self.predictions
+                for i, p in enumerate(self.predictions)
             ],
-            "config": self.config,
+            "config": self.config.to_dict(),
+            "protocol": self.config.eval.protocol,
+            "tool_version": __version__,
+            "config_hash": self.config.config_hash(),
         }
 
 
@@ -252,78 +294,45 @@ def prepare_features(
 def run_pipeline_cv(
     manifest: DatasetManifest,
     folds: list[Fold],
-    target_len: int = DEFAULT_TARGET_LEN,
-    feature_config: FeatureConfig | None = None,
-    svm_config: svm.SvmConfig | None = None,
-    config_echo: dict | None = None,
+    config: PipelineConfig | None = None,
 ) -> EvalReport:
-    """Train and test over the given folds; pool one confusion matrix.
+    """Train and test over the given folds with `config` (default: the defaults).
 
-    Every manifest entry must land in exactly one test fold. Errors inside a
-    fold are annotated with the fold id.
+    Every manifest entry must land in exactly one test fold, and no test fold
+    may be empty. Errors inside a fold are annotated with the fold id. The
+    folds are the caller's: `config.eval` is only recorded in the report.
     """
-    svm_config = svm_config or svm.SvmConfig()
-    X, labels = prepare_features(manifest, target_len, feature_config)
+    config = config or PipelineConfig()
+    X, labels = prepare_features(manifest, config.preprocess.target_len, config.features)
     label_arr = np.array(labels)
 
-    n = len(manifest.entries)
-    fold_assignments = np.full(n, -1, dtype=int)
-    predicted = np.empty(n, dtype=object)
-    scores_out: list[tuple[float, ...] | None] = [None] * n
-    fold_accuracies = []
+    predictions: dict[int, SequencePrediction] = {}
     fold_models = []
     for fold_id, (train_idx, test_idx) in enumerate(folds):
+        if not len(test_idx):
+            raise ValueError(f"fold {fold_id}: empty test set")
         if np.intersect1d(train_idx, test_idx).size:
             raise ValueError(f"fold {fold_id}: train and test overlap")
-        if (fold_assignments[test_idx] != -1).any():
+        if any(int(i) in predictions for i in test_idx):
             raise ValueError(f"fold {fold_id}: test indices already assigned to a fold")
-        fold_assignments[test_idx] = fold_id
         try:
             model = svm.train(
-                X[train_idx],
-                label_arr[train_idx],
-                svm_config,
-                classes=manifest.label_set,
+                X[train_idx], label_arr[train_idx], config.svm, classes=manifest.label_set
             )
             fold_labels, fold_scores = svm.predict_batch(model, X[test_idx])
         except (ValueError, ThermactError) as exc:
             raise ThermactError(f"fold {fold_id}: {exc}") from exc
         fold_models.append(model)
-        for local, idx in enumerate(test_idx):
-            predicted[idx] = fold_labels[local]
-            scores_out[idx] = tuple(float(s) for s in fold_scores[local])
-        fold_accuracies.append(
-            float(np.mean(np.array(fold_labels) == label_arr[test_idx]))
-        )
-    if (fold_assignments == -1).any():
-        missing = int((fold_assignments == -1).sum())
+        for i, label, scores in zip(map(int, test_idx), fold_labels, fold_scores.tolist()):
+            predictions[i] = SequencePrediction(
+                manifest.entries[i].path, labels[i], label, fold_id, tuple(scores)
+            )
+    missing = len(labels) - len(predictions)
+    if missing:
         raise ValueError(f"{missing} entr(ies) never appear in a test fold")
-
-    confusion = confusion_from_records(labels, list(predicted), manifest.label_set)
-    if FALL_LABEL in manifest.label_set:
-        sensitivity, specificity = fall_metrics(confusion)
-    else:
-        sensitivity, specificity = None, None
-    predictions = tuple(
-        SequencePrediction(
-            index=i,
-            path=manifest.entries[i].path,
-            true_label=labels[i],
-            predicted_label=str(predicted[i]),
-            fold=int(fold_assignments[i]),
-            scores=scores_out[i],
-        )
-        for i in range(n)
-    )
     return EvalReport(
-        confusion=confusion,
-        overall_accuracy=confusion.overall_accuracy(),
-        per_class_accuracy=confusion.per_class_accuracy(),
-        fall_sensitivity=sensitivity,
-        fall_specificity=specificity,
-        fold_assignments=tuple(int(f) for f in fold_assignments),
-        predictions=predictions,
-        fold_accuracies=tuple(fold_accuracies),
+        labels=manifest.label_set,
+        predictions=tuple(predictions[i] for i in range(len(labels))),
         fold_models=tuple(fold_models),
-        config=config_echo,
+        config=config,
     )

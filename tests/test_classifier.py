@@ -340,6 +340,20 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="row 4"):
             predict_batch(model, queries)
 
+    @pytest.mark.parametrize("c", [1e-320, 1e308])
+    def test_regularization_without_a_finite_step_scale(self, clusters, c):
+        # lam = 1/(C*m) is inf for C = 1e-320 (NaN weights, every label "fall")
+        # and 0 for C = 1e308 (a ZeroDivisionError in the step size).
+        X, labels = clusters
+        with pytest.raises(ValueError, match="regularization_c"):
+            train(X, labels, SvmConfig(regularization_c=c))
+
+    def test_regularization_giving_non_finite_weights(self):
+        X, labels = toy_clusters(n_classes=3, per_class=5, dim=4, seed=0)
+        message = "regularization_c 1e\\+307 gives non-finite weights"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
+            train(X, labels, SvmConfig(regularization_c=1e307))
+
 
 class TestDuplication:
     """Uniform duplication leaves standardization and the averaged hinge
@@ -424,6 +438,13 @@ class TestPredict:
             label, scores = predict(model, q)
             assert label == batch_labels[i]
             assert np.array_equal(scores, batch_scores[i])
+
+    def test_empty_batch(self, clusters):
+        X, labels = clusters
+        model = train(X, labels)
+        batch_labels, batch_scores = predict_batch(model, X[:0])
+        assert batch_labels == []
+        assert batch_scores.shape == (0, 7)
 
     def test_dimension_mismatch(self, clusters):
         X, labels = clusters

@@ -1,5 +1,7 @@
+import csv
 import filecmp
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -12,6 +14,13 @@ from thermact.core import load_manifest
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_corpus") / "data"
     assert main(["generate", "--out", str(out), "--subjects", "3", "--reps", "1", "--seed", "7"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_tiny_corpus") / "data"
+    assert main(["generate", "--out", str(out), "--subjects", "2", "--reps", "1", "--seed", "5"]) == 0
     return out
 
 
@@ -117,6 +126,14 @@ class TestEvaluate:
         assert a["predictions"] == b["predictions"]
         assert a["config_hash"] == b["config_hash"]
 
+    @pytest.mark.parametrize("c", ["1e-320", "1e308"])
+    def test_regularization_without_a_finite_step_scale(self, tiny_corpus_dir, capsys, c):
+        # At 1e-320 every sequence used to be labelled "fall" with exit 0;
+        # at 1e308 the step size divided by zero.
+        args = ["evaluate", "--data", str(tiny_corpus_dir / "manifest.json"), "--svm.regularization_c", c]
+        assert main(args) == 1
+        assert "fall" not in one_error_line(capsys, "regularization_c")
+
     def test_unknown_config_key_rejected(self, corpus_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"features": {"sequence_len": 10}}))
@@ -125,6 +142,56 @@ class TestEvaluate:
             == 1
         )
         assert "sequence_len" in capsys.readouterr().err
+
+
+def recount(report):
+    """Every summary key of a report JSON, counted again from its predictions."""
+    labels, preds = report["labels"], report["predictions"]
+    counts = [[0] * len(labels) for _ in labels]
+    for p in preds:
+        counts[labels.index(p["true"])][labels.index(p["predicted"])] += 1
+    falls = [(p["true"] == "fall", p["predicted"] == "fall") for p in preds]
+    tp = falls.count((True, True))
+    fn = falls.count((True, False))
+    fp = falls.count((False, True))
+    tn = falls.count((False, False))
+    n_folds = 1 + max(p["fold"] for p in preds)
+    fold_rows = [[p for p in preds if p["fold"] == f] for f in range(n_folds)]
+    return {
+        "confusion": counts,
+        "overall_accuracy": sum(p["true"] == p["predicted"] for p in preds) / len(preds),
+        "per_class_accuracy": {
+            label: counts[i][i] / sum(counts[i]) if sum(counts[i]) else None
+            for i, label in enumerate(labels)
+        },
+        "fall_sensitivity": tp / (tp + fn) if tp + fn else None,
+        "fall_specificity": tn / (tn + fp) if tn + fp else None,
+        "fold_accuracies": [
+            sum(p["true"] == p["predicted"] for p in rows) / len(rows) for rows in fold_rows
+        ],
+        "fold_assignments": [p["fold"] for p in preds],
+    }
+
+
+class TestReportOracle:
+    """The report's summaries are functions of its prediction log."""
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--eval.protocol", "kfold", "--eval.k", "3"]], ids=["loso", "kfold"]
+    )
+    def test_summaries_recount_from_predictions(self, corpus_dir, tmp_path, flags):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            argv = ["evaluate", "--data", str(corpus_dir / "manifest.json"), "--report", str(path)]
+            assert main(argv + flags) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        report = json.loads(paths[0].read_text())
+        manifest = load_manifest(corpus_dir / "manifest.json")
+        assert [p["index"] for p in report["predictions"]] == list(range(len(manifest.entries)))
+        assert [p["true"] for p in report["predictions"]] == [e.label for e in manifest.entries]
+        for key, value in recount(report).items():
+            assert report[key] == value, key
+        assert len(set(report["fold_assignments"])) == 3
 
 
 class TestTrainPredict:
@@ -223,8 +290,10 @@ class TestTrainPredict:
             ]
         )
         assert code == 1
-        assert "dimension" in capsys.readouterr().err
-
+        one_error_line(
+            capsys,
+            f"{corpus_dir / 's01r1_fall.csv'}: feature dimension 500 does not match model dimension 282",
+        )
 
     def _predict(self, corpus_dir, model_path):
         return main(
@@ -309,6 +378,25 @@ class TestFeaturize:
         assert first[0] in {e.label for e in load_manifest(corpus_dir / "manifest.json").entries}
         assert len(first) == 2 + 500
 
+    def test_ids_with_commas_and_quotes(self, corpus_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        odd = {"s01": "smith, j", "s02": 'o"neil\nb'}
+        for entry in manifest["entries"]:
+            if "subject" in entry:
+                entry["subject"] = odd.get(entry["subject"], entry["subject"])
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "features.csv"
+        assert main(["featurize", "--data", str(data / "manifest.json"), "--out", str(out)]) == 0
+        with out.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 1 + 21
+        assert {len(row) for row in rows} == {2 + 500}
+        subjects = [e.subject_id for e in load_manifest(data / "manifest.json").entries]
+        assert [row[1] for row in rows[1:]] == subjects
+        assert {"smith, j", 'o"neil\nb'} <= set(subjects)
+
 
 class TestUsability:
     @pytest.mark.parametrize("sub", ["generate", "featurize", "train", "evaluate", "predict"])
@@ -328,12 +416,17 @@ DEEP_JSON = "[" * 100_000
 
 
 def one_error_line(capsys, *names):
-    """stderr holds one `error:` line naming each of `names`, and no traceback."""
-    err = capsys.readouterr().err
+    """stderr holds one `error:` line naming each of `names`, and no traceback.
+
+    Returns what went to stdout.
+    """
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     for name in names:
         assert name in err, (name, err)
+    return captured.out
 
 
 class TestMalformedSettings:

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermact.classifier import SvmConfig
+from thermact.config import PipelineConfig
 from thermact.core import DatasetManifest, ManifestEntry, ThermactError
 from thermact.evaluate import (
     ConfusionMatrix,
@@ -299,6 +303,31 @@ class TestRunPipelineCv:
     def test_report_json_round_trip(self, small_corpus):
         report = run_pipeline_cv(small_corpus, loso_split(small_corpus))
         payload = report.to_json_dict()
+        assert list(payload) == [
+            "labels", "confusion", "overall_accuracy", "per_class_accuracy",
+            "fall_sensitivity", "fall_specificity", "fold_accuracies",
+            "fold_assignments", "predictions", "config", "protocol",
+            "tool_version", "config_hash",
+        ]
         assert payload["overall_accuracy"] == report.overall_accuracy
         assert len(payload["predictions"]) == len(small_corpus.entries)
         assert payload["confusion"] == [list(r) for r in report.confusion.counts]
+        assert payload["config"] == PipelineConfig().to_dict()
+        assert payload["config_hash"] == PipelineConfig().config_hash()
+
+    def test_report_holds_what_was_run(self, small_corpus):
+        config = PipelineConfig(svm=SvmConfig(max_epochs=3))
+        report = run_pipeline_cv(small_corpus, loso_split(small_corpus), config)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "labels", "predictions", "fold_models", "config",
+        ]
+        assert report.config is config
+        assert all(m.train_config == config.svm for m in report.fold_models)
+        assert report.to_json_dict()["config"]["svm"]["max_epochs"] == 3
+
+    def test_empty_test_fold_rejected(self, small_corpus):
+        folds = loso_split(small_corpus)
+        train, _ = folds[1]
+        folds[1] = (train, train[:0])
+        with pytest.raises(ValueError, match="^fold 1: empty test set$"):
+            run_pipeline_cv(small_corpus, folds)

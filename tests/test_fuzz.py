@@ -1,19 +1,24 @@
-"""Bounded fuzzing of every file the package reads.
+"""Bounded fuzzing of every file the package reads, and of the command line.
 
 Whatever a config, scene, model, frame CSV or manifest file holds, reading
 it gives a valid object or the package's own error for that kind of file,
-and the error's message names the file.
+and the error's message names the file. Whatever argv the CLI gets, it
+exits 0, 1 or 2, and a failure is one `error:` line, never a traceback.
 """
 
+import contextlib
+import io
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from thermact.classifier import ModelFormatError, load_model, save_model, train
+from thermact.cli import main
 from thermact.config import PipelineConfig, config_from_dict, config_keys, load_config
 from thermact.core import (
     ConfigError,
@@ -226,3 +231,67 @@ def test_manifest(manifest_dir, value):
         assert isinstance(manifest, DatasetManifest)
         ids = [manifest.sensor_id] + [e.subject_id for e in manifest.entries]
         assert all(isinstance(i, str) for i in ids)
+
+
+# Small tokens only: an int flag never asks for much memory or time (a huge
+# preprocess.target_len would allocate that many frames per recording).
+FLAG_TOKENS = {
+    int: ["0", "1", "2", "3", "5", "20", "64", "-1", "x", "1.5"],
+    float: ["1", "0.5", "1e-4", "10", "0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "x"],
+    str: ["loso", "kfold", "x", ""],
+}
+GENERATE_TOKENS = ["0", "1", "2", "-1", "x", "1.5"]
+CONFIG_FLAGS = st.sampled_from(config_keys()).flatmap(
+    lambda kt: st.tuples(st.just(f"--{kt[0]}"), st.sampled_from(FLAG_TOKENS[kt[1]]))
+)
+EXTRAS = st.sampled_from([["--bogus"], ["--scores"], ["--config", "missing.json"], ["--eval.k"]])
+
+
+@pytest.fixture(scope="module")
+def cli_dir(fuzz_dir):
+    """A 2-subject x 1-session corpus and a model trained on it; runs write under out/."""
+    folder = fuzz_dir / "cli"
+    assert main(["generate", "--out", str(folder), "--subjects", "2", "--reps", "1", "--seed", "5"]) == 0
+    assert main(["train", "--data", str(folder / "manifest.json"), "--model", str(folder / "model.json")]) == 0
+    return folder
+
+
+@st.composite
+def argvs(draw, folder):
+    command = draw(st.sampled_from(["generate", "featurize", "train", "evaluate", "predict"]))
+    data = ["--data", str(folder / "manifest.json")]
+    if command == "generate":
+        argv = ["generate", "--out", str(folder / "out" / "corpus")]
+        for flag in draw(st.lists(st.sampled_from(["--subjects", "--reps", "--seed"]), unique=True)):
+            argv += [flag, draw(st.sampled_from(GENERATE_TOKENS))]
+    elif command == "predict":
+        argv = ["predict", "--model", str(folder / "model.json"), "--background",
+                str(folder / "background.csv"), str(folder / "s01r1_fall.csv")]
+    elif command == "train":
+        argv = ["train", *data, "--model", str(folder / "out" / "model.json")]
+    else:
+        argv = [command, *data]
+    for flag in draw(st.lists(CONFIG_FLAGS, max_size=4)):
+        argv += flag
+    if draw(st.integers(0, 4)) == 0:
+        argv += draw(EXTRAS)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_argv(cli_dir, data):
+    argv = data.draw(argvs(cli_dir))
+    err = io.StringIO()
+    (cli_dir / "out").mkdir()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        shutil.rmtree(cli_dir / "out")
+    err = err.getvalue()
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
