@@ -59,6 +59,6 @@ from .synth import (
     generate_corpus,
     render_sequence,
 )
-from .config import PipelineConfig, apply_overrides, config_from_dict, load_config
+from .config import EvalSettings, PipelineConfig, apply_overrides, config_from_dict, load_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

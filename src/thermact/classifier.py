@@ -295,9 +295,14 @@ def train(
 
     y_index = np.array([ordered.index(l) for l in labels])
     Y = np.where(y_index == np.arange(len(ordered))[:, None], 1.0, -1.0)
-    W, epochs, converged, objectives = _train_ovr(Zb, Y, cfg)
+    non_finite = f"regularization_c {cfg.regularization_c!r} gives non-finite weights"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            W, epochs, converged, objectives = _train_ovr(Zb, Y, cfg)
+    except FloatingPointError as exc:
+        raise ValueError(non_finite) from exc
     if not np.isfinite(W).all():
-        raise ValueError(f"regularization_c {cfg.regularization_c!r} gives non-finite weights")
+        raise ValueError(non_finite)
     weights, biases = np.ascontiguousarray(W[:, :-1]), W[:, -1].copy()
 
     weights.flags.writeable = False

@@ -19,7 +19,8 @@ from . import __version__
 from .classifier import load_model, predict, save_model, train
 from .config import PipelineConfig, apply_overrides, config_from_dict, config_keys, load_config
 from .core import ThermactError, from_json_file, load_manifest, read_sequence
-from .evaluate import loso_split, prepare_features, run_pipeline_cv, stratified_kfold_split
+# loso_split stays bound here: perfbench's tracing test calls cli.loso_split.
+from .evaluate import loso_split, prepare_features, run_pipeline_cv
 from .features import extract_features
 from .preprocess import estimate_background, resample_equal_interval, subtract_background
 from .synth import SceneParams, generate_corpus
@@ -37,12 +38,6 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
     overrides = {key: getattr(args, key) for key, _ in _OVERRIDE_FLAGS if hasattr(args, key)}
     return apply_overrides(config, overrides)
-
-
-def _folds_for(config: PipelineConfig, manifest):
-    if config.eval.protocol == "loso":
-        return loso_split(manifest)
-    return stratified_kfold_split(manifest, k=config.eval.k, seed=config.eval.seed)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -87,7 +82,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     manifest = load_manifest(args.data)
-    report = run_pipeline_cv(manifest, _folds_for(config, manifest), config)
+    report = run_pipeline_cv(manifest, config)
     print(report.confusion.to_text())
     print(f"overall accuracy:  {100.0 * report.overall_accuracy:.2f}%")
     if report.fall_sensitivity is not None:
@@ -174,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ThermactError, ValueError, OSError) as exc:
+    except (ThermactError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,10 @@
 """Cross-validation harnesses and recognition metrics.
 
 Two splitters are provided: leave-one-subject-out (one fold per subject) and
-class-stratified k-fold. `run_pipeline_cv` drives the full pipeline per fold
-(standardization statistics are learned inside each fold's training set by
-the classifier, so nothing leaks into the test split). Its report holds the
+class-stratified k-fold. `run_pipeline_cv` takes its folds from the config's
+`eval` section and drives the full pipeline per fold (standardization
+statistics are learned inside each fold's training set by the classifier, so
+nothing leaks into the test split). Its report holds the
 per-sequence predictions, the fold models and the config that was run;
 the pooled confusion matrix and every accuracy derive from the predictions.
 """
@@ -292,29 +293,28 @@ def prepare_features(
 
 
 def run_pipeline_cv(
-    manifest: DatasetManifest,
-    folds: list[Fold],
-    config: PipelineConfig | None = None,
+    manifest: DatasetManifest, config: PipelineConfig | None = None
 ) -> EvalReport:
-    """Train and test over the given folds with `config` (default: the defaults).
+    """Cross-validate with `config` (default: the defaults) over the folds it names.
 
-    Every manifest entry must land in exactly one test fold, and no test fold
-    may be empty. Errors inside a fold are annotated with the fold id. The
-    folds are the caller's: `config.eval` is only recorded in the report.
+    `config.eval` picks the folds: `loso_split` for "loso", and
+    `stratified_kfold_split` with its `k` and `seed` for "kfold". Either
+    splitter makes a partition, so every manifest entry is predicted once.
+    Errors inside a fold are annotated with the fold id.
     """
     config = config or PipelineConfig()
+    ev = config.eval
+    folds = (
+        loso_split(manifest)
+        if ev.protocol == "loso"
+        else stratified_kfold_split(manifest, k=ev.k, seed=ev.seed)
+    )
     X, labels = prepare_features(manifest, config.preprocess.target_len, config.features)
     label_arr = np.array(labels)
 
-    predictions: dict[int, SequencePrediction] = {}
+    predictions: list[SequencePrediction | None] = [None] * len(labels)
     fold_models = []
     for fold_id, (train_idx, test_idx) in enumerate(folds):
-        if not len(test_idx):
-            raise ValueError(f"fold {fold_id}: empty test set")
-        if np.intersect1d(train_idx, test_idx).size:
-            raise ValueError(f"fold {fold_id}: train and test overlap")
-        if any(int(i) in predictions for i in test_idx):
-            raise ValueError(f"fold {fold_id}: test indices already assigned to a fold")
         try:
             model = svm.train(
                 X[train_idx], label_arr[train_idx], config.svm, classes=manifest.label_set
@@ -323,16 +323,13 @@ def run_pipeline_cv(
         except (ValueError, ThermactError) as exc:
             raise ThermactError(f"fold {fold_id}: {exc}") from exc
         fold_models.append(model)
-        for i, label, scores in zip(map(int, test_idx), fold_labels, fold_scores.tolist()):
+        for i, label, scores in zip(test_idx.tolist(), fold_labels, fold_scores.tolist()):
             predictions[i] = SequencePrediction(
                 manifest.entries[i].path, labels[i], label, fold_id, tuple(scores)
             )
-    missing = len(labels) - len(predictions)
-    if missing:
-        raise ValueError(f"{missing} entr(ies) never appear in a test fold")
     return EvalReport(
         labels=manifest.label_set,
-        predictions=tuple(predictions[i] for i in range(len(labels))),
+        predictions=tuple(predictions),
         fold_models=tuple(fold_models),
         config=config,
     )

@@ -13,6 +13,7 @@ import pytest
 from oracles import naive_dct, naive_dct2
 
 from thermact.classifier import SvmConfig, load_model, predict_batch, save_model, train
+from thermact.config import EvalSettings, PipelineConfig
 from thermact.core import ADL7_LABELS, DatasetManifest, ManifestEntry, load_manifest
 from thermact.evaluate import (
     ConfusionMatrix,
@@ -42,7 +43,7 @@ def default_corpus_report(tmp_path_factory):
     t0 = time.monotonic()
     summary = generate_corpus(out, subjects=8, reps=3, seed=42)
     manifest = load_manifest(summary.manifest_path)
-    report = run_pipeline_cv(manifest, loso_split(manifest))
+    report = run_pipeline_cv(manifest)
     elapsed = time.monotonic() - t0
     return summary, manifest, report, elapsed
 
@@ -215,7 +216,7 @@ def test_criterion_6_metric_recount(default_corpus_report):
 def test_criterion_7a_infra_adl2018():
     manifest = load_manifest(os.environ[INFRA_ENV])
     assert set(ADL7_LABELS) <= set(manifest.label_set)
-    report = run_pipeline_cv(manifest, loso_split(manifest))
+    report = run_pipeline_cv(manifest)
     # reference: 87.50% overall, tolerance +/- 5 percentage points
     assert abs(report.overall_accuracy - 0.8750) <= 0.05
     assert report.fall_sensitivity >= 0.95
@@ -242,8 +243,7 @@ COVENTRY_REFERENCE = {
 @pytest.mark.skipif(COVENTRY_ENV not in os.environ, reason=f"{COVENTRY_ENV} not set")
 def test_criterion_7b_coventry():
     manifest = load_manifest(os.environ[COVENTRY_ENV])
-    folds = stratified_kfold_split(manifest, k=10, seed=42)
-    report = run_pipeline_cv(manifest, folds)
+    report = run_pipeline_cv(manifest, PipelineConfig(eval=EvalSettings("kfold", 10, 42)))
     per_class = dict(zip(report.confusion.labels, report.per_class_accuracy))
     checked = 0
     for label, reference in COVENTRY_REFERENCE.items():

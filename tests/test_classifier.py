@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +355,16 @@ class TestNonFinite:
         message = "regularization_c 1e\\+307 gives non-finite weights"
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
             train(X, labels, SvmConfig(regularization_c=1e307))
+
+    @pytest.mark.parametrize("c", [1e200, 1e300, 1e306])
+    def test_regularization_overflowing_in_training(self, c):
+        # Here the margin products overflow while the weights stay finite, so
+        # only the floating-point state shows that training went wrong.
+        X, labels = toy_clusters(n_classes=3, per_class=5, dim=4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"regularization_c {c!r} gives non-finite")):
+                train(X, labels, SvmConfig(regularization_c=c))
 
 
 class TestDuplication:

@@ -126,13 +126,24 @@ class TestEvaluate:
         assert a["predictions"] == b["predictions"]
         assert a["config_hash"] == b["config_hash"]
 
-    @pytest.mark.parametrize("c", ["1e-320", "1e308"])
+    @pytest.mark.parametrize("c", ["1e-320", "1e308", "1e200", "1e300", "1e306"])
     def test_regularization_without_a_finite_step_scale(self, tiny_corpus_dir, capsys, c):
         # At 1e-320 every sequence used to be labelled "fall" with exit 0;
-        # at 1e308 the step size divided by zero.
+        # at 1e308 the step size divided by zero; from 1e200 to 1e306 the
+        # margin products overflowed, warned and exited 0 at 50% accuracy.
         args = ["evaluate", "--data", str(tiny_corpus_dir / "manifest.json"), "--svm.regularization_c", c]
         assert main(args) == 1
-        assert "fall" not in one_error_line(capsys, "regularization_c")
+        assert "fall" not in one_error_line(capsys, "fold 0: regularization_c")
+
+    def test_out_of_memory_is_an_error_line(self, corpus_dir, capsys, monkeypatch):
+        import thermact.preprocess as preprocess
+
+        def no_memory(length, target_len):
+            raise MemoryError(f"cannot resample {length} frames to {target_len}")
+
+        monkeypatch.setattr(preprocess, "resample_indices", no_memory)
+        assert main(["evaluate", "--data", str(corpus_dir / "manifest.json")]) == 1
+        one_error_line(capsys, "cannot resample")
 
     def test_unknown_config_key_rejected(self, corpus_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermact.classifier import SvmConfig
-from thermact.config import PipelineConfig
+from thermact.config import EvalSettings, PipelineConfig
 from thermact.core import DatasetManifest, ManifestEntry, ThermactError
 from thermact.evaluate import (
     ConfusionMatrix,
@@ -204,14 +204,14 @@ class TestFallMetrics:
 
 class TestRunPipelineCv:
     def test_loso_on_small_corpus(self, small_corpus):
-        report = run_pipeline_cv(small_corpus, loso_split(small_corpus))
+        report = run_pipeline_cv(small_corpus)
         assert report.confusion.total == len(small_corpus.entries)
         assert len(report.predictions) == len(small_corpus.entries)
         assert len(report.fold_accuracies) == 3
         assert set(report.fold_assignments) == {0, 1, 2}
 
     def test_metrics_recomputable_from_prediction_log(self, small_corpus):
-        report = run_pipeline_cv(small_corpus, loso_split(small_corpus))
+        report = run_pipeline_cv(small_corpus)
         true = [p.true_label for p in report.predictions]
         pred = [p.predicted_label for p in report.predictions]
         cm = confusion_from_records(true, pred, small_corpus.label_set)
@@ -221,29 +221,40 @@ class TestRunPipelineCv:
         assert cm.per_class_accuracy() == report.per_class_accuracy
 
     def test_standardization_is_fold_local(self, small_corpus):
-        report = run_pipeline_cv(small_corpus, loso_split(small_corpus))
+        report = run_pipeline_cv(small_corpus)
         means = [m.scaler_mean for m in report.fold_models]
         assert not np.allclose(means[0], means[1])
         assert not np.allclose(means[1], means[2])
 
     def test_kfold_totals(self, small_corpus):
-        folds = stratified_kfold_split(small_corpus, k=3, seed=1)
-        report = run_pipeline_cv(small_corpus, folds)
+        config = PipelineConfig(eval=EvalSettings("kfold", 3, 1))
+        report = run_pipeline_cv(small_corpus, config)
         assert report.confusion.total == len(small_corpus.entries)
 
-    def test_fold_errors_annotated(self, small_corpus):
-        # fold 0 training set with a single class triggers a classifier error
-        labels = np.array([e.label for e in small_corpus.entries])
-        only_fall = np.flatnonzero(labels == "fall")[:2]
-        rest = np.array([i for i in range(len(labels)) if i not in only_fall])
-        with pytest.raises(ThermactError, match="fold 0"):
-            run_pipeline_cv(small_corpus, [(only_fall, rest)])
+    @pytest.mark.parametrize("protocol, k, seed", [("loso", 10, 42), ("kfold", 2, 1)])
+    def test_folds_follow_the_config(self, small_corpus, protocol, k, seed):
+        config = PipelineConfig(eval=EvalSettings(protocol, k, seed))
+        if protocol == "loso":
+            folds = loso_split(small_corpus)
+        else:
+            folds = stratified_kfold_split(small_corpus, k=k, seed=seed)
+        expected = [None] * len(small_corpus.entries)
+        for fold_id, (_, test) in enumerate(folds):
+            for i in test.tolist():
+                expected[i] = fold_id
+        report = run_pipeline_cv(small_corpus, config)
+        assert [p.fold for p in report.predictions] == expected
+        assert len(report.fold_models) == len(folds)
+        payload = report.to_json_dict()
+        assert payload["protocol"] == protocol
+        assert (payload["config"]["eval"]["k"], payload["config"]["eval"]["seed"]) == (k, seed)
+        assert len(payload["fold_accuracies"]) == len(folds)
 
-    def test_overlapping_fold_rejected(self, small_corpus):
-        n = len(small_corpus.entries)
-        idx = np.arange(n)
-        with pytest.raises(ValueError, match="overlap"):
-            run_pipeline_cv(small_corpus, [(idx, idx)])
+    def test_fold_errors_annotated(self, small_corpus):
+        # a step scale 1/(C*m) that overflows fails the first fold's training
+        config = PipelineConfig(svm=SvmConfig(regularization_c=1e-320))
+        with pytest.raises(ThermactError, match="^fold 0: regularization_c"):
+            run_pipeline_cv(small_corpus, config)
 
     def test_perfect_dataset_reaches_full_accuracy(self, tmp_path):
         # only mutually distant activity classes: every fold must be clean
@@ -283,7 +294,7 @@ class TestRunPipelineCv:
         )
         write_manifest(manifest, tmp_path / "manifest.json")
         manifest = load_manifest(tmp_path / "manifest.json")
-        report = run_pipeline_cv(manifest, loso_split(manifest))
+        report = run_pipeline_cv(manifest)
         assert report.overall_accuracy == 1.0
         assert np.array_equal(
             report.confusion.counts, np.diag([4, 4, 4])
@@ -301,7 +312,7 @@ class TestRunPipelineCv:
         assert np.array_equal(chunked, whole)
 
     def test_report_json_round_trip(self, small_corpus):
-        report = run_pipeline_cv(small_corpus, loso_split(small_corpus))
+        report = run_pipeline_cv(small_corpus)
         payload = report.to_json_dict()
         assert list(payload) == [
             "labels", "confusion", "overall_accuracy", "per_class_accuracy",
@@ -317,17 +328,10 @@ class TestRunPipelineCv:
 
     def test_report_holds_what_was_run(self, small_corpus):
         config = PipelineConfig(svm=SvmConfig(max_epochs=3))
-        report = run_pipeline_cv(small_corpus, loso_split(small_corpus), config)
+        report = run_pipeline_cv(small_corpus, config)
         assert [f.name for f in dataclasses.fields(report)] == [
             "labels", "predictions", "fold_models", "config",
         ]
         assert report.config is config
         assert all(m.train_config == config.svm for m in report.fold_models)
         assert report.to_json_dict()["config"]["svm"]["max_epochs"] == 3
-
-    def test_empty_test_fold_rejected(self, small_corpus):
-        folds = loso_split(small_corpus)
-        train, _ = folds[1]
-        folds[1] = (train, train[:0])
-        with pytest.raises(ValueError, match="^fold 1: empty test set$"):
-            run_pipeline_cv(small_corpus, folds)
