@@ -241,7 +241,8 @@ class ThermalSequence:
 # Frame CSV I/O
 #
 # One frame per row: `timestamp_ms,p00,...,p77` (65 fields) or the 64 pixel
-# fields alone. Lines starting with `#` and blank lines are ignored.
+# fields alone. Lines starting with `#` and blank lines are ignored. Lines
+# end at `\n`, `\r\n` or `\r`; any other separator is in-row whitespace.
 # ---------------------------------------------------------------------------
 
 
@@ -258,7 +259,7 @@ def parse_sequence(source: bytes | str) -> ThermalSequence:
         try:
             text = source.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = source[: exc.start].count(b"\n") + 1
+            line = len(_lines(source[: exc.start]))
             raise SequenceFormatError(f"line {line}: not UTF-8 text ({exc.reason})") from None
     else:
         text = source
@@ -266,7 +267,7 @@ def parse_sequence(source: bytes | str) -> ThermalSequence:
     stamps: list[float] = []
     linenos: list[int] = []
     error = None  # the row error that ended parsing, if any
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -299,6 +300,12 @@ def parse_sequence(source: bytes | str) -> ThermalSequence:
     raise SequenceFormatError("no frame rows found (empty file)")
 
 
+def _lines(text):
+    """`text` (str or bytes) split at LF, CRLF and CR only, unlike `splitlines`."""
+    nl, cr = ("\n", "\r") if isinstance(text, str) else (b"\n", b"\r")
+    return text.replace(cr + nl, nl).replace(cr, nl).split(nl)
+
+
 def read_sequence(path: str | Path) -> ThermalSequence:
     """Read and parse a frame CSV file; a format error names the file."""
     path = Path(path)
@@ -309,14 +316,23 @@ def read_sequence(path: str | Path) -> ThermalSequence:
 
 
 def serialize_sequence(seq: ThermalSequence) -> str:
-    """Render a sequence as frame CSV at full float precision.
+    """Render a raw sequence as frame CSV at full float precision.
 
-    The timestamp column is always written; `parse_sequence` of the result
-    reproduces the frames bit-exactly.
+    The timestamp column is always written, and each pixel as the `repr` of
+    its float, so `parse_sequence` of the result reproduces the frames
+    bit-exactly. The format has no stage, so a background-subtracted
+    sequence is refused (ValueError) rather than read back as raw.
     """
+    if seq.stage != RAW:
+        raise ValueError(f"only raw sequences are written as frame CSV, got stage {seq.stage!r}")
+    # One repr per distinct bit pattern: quantized frames hold few distinct
+    # values, and bits keep -0.0 apart from 0.0.
+    bits, inverse = np.unique(seq.pixels.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    cells = texts[inverse.reshape(seq.pixels.shape)].tolist()
     lines = ["# timestamp_ms," + ",".join(f"p{r}{c}" for r in range(8) for c in range(8))]
-    for stamp, row in zip(seq.timestamps_ms.tolist(), seq.pixels.tolist()):
-        lines.append(str(stamp) + "," + ",".join(repr(v) for v in row))
+    for stamp, row in zip(seq.timestamps_ms.tolist(), cells):
+        lines.append(str(stamp) + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 

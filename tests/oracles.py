@@ -113,3 +113,15 @@ def train_per_class(X, labels, cfg, classes, updates=None):
         if updates is not None:
             updates.update(steps)
     return weights, biases, tuple(epochs), tuple(converged), tuple(objectives)
+
+
+def serialize_per_value(seq):
+    """Frame CSV text with one `repr` call per pixel.
+
+    The writer `core.serialize_sequence` replaced: the header line, then per
+    frame the timestamp and every pixel's `repr`, one row per line.
+    """
+    lines = ["# timestamp_ms," + ",".join(f"p{r}{c}" for r in range(8) for c in range(8))]
+    for stamp, row in zip(seq.timestamps_ms.tolist(), seq.pixels.tolist()):
+        lines.append(str(stamp) + "," + ",".join(repr(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -22,7 +22,9 @@ from thermact.core import (
     write_manifest,
     write_sequence,
 )
+from thermact.preprocess import estimate_background, subtract_background
 from thermact.synth import SceneParams, builtin_scripts, render_sequence
+from oracles import serialize_per_value
 
 
 def constant_sequence(*values, **kwargs):
@@ -160,11 +162,37 @@ class TestParseSequence:
         with pytest.raises(SequenceFormatError, match="line 1: raw temperature"):
             parse_sequence("\n".join(rows))
 
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_lf_cr_and_crlf_end_a_line(self, sep):
+        # Other separators str.splitlines breaks at are in-row whitespace, so
+        # they shift no line number.
+        good = ",".join(["20.0"] * 64)
+        rows = [good, good + sep, good, good, ",".join(["20.0"] * 63 + ["oops"])]
+        with pytest.raises(SequenceFormatError, match="line 5: non-numeric"):
+            parse_sequence("\n".join(rows))
+        assert len(parse_sequence("\n".join(rows[:4]))) == 4
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_numbers_under_each_line_ending(self, newline):
+        good = ",".join(["20.0"] * 64)
+        text = newline.join([good, "", good, ",".join(["20.0"] * 3)])
+        with pytest.raises(SequenceFormatError, match="line 4: expected"):
+            parse_sequence(text)
+        with pytest.raises(SequenceFormatError, match="line 3: not UTF-8"):
+            parse_sequence(newline.join([good, good, ""]).encode() + b"\xff")
+
     def test_read_sequence_names_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"\xff\xfe")
         with pytest.raises(SequenceFormatError, match="bad.csv: line 1: not UTF-8"):
             read_sequence(path)
+
+
+# The 0.25 degC grid the generator quantizes to, both zeros, the smallest
+# subnormal, a value repr writes in exponent form, and the range's top.
+PIXEL_POOL = [0.25 * k for k in range(1, 320)] + [-0.0, 0.0, 5e-324, 1e-05, 80.0]
 
 
 class TestRoundTrip:
@@ -186,6 +214,44 @@ class TestRoundTrip:
             pixels=rng.uniform(0.0, 80.0, (n, 64)), timestamps_ms=100 * np.arange(n)
         )
         assert parse_sequence(serialize_sequence(seq)) == seq
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(PIXEL_POOL), min_size=64, max_size=64), min_size=1, max_size=60
+        ),
+        st.integers(0, 10**6),
+    )
+    def test_writer_matches_per_value_oracle(self, frames, step):
+        seq = ThermalSequence(pixels=frames, timestamps_ms=step * np.arange(len(frames)))
+        text = serialize_sequence(seq)
+        assert text == serialize_per_value(seq)
+        parsed = parse_sequence(text)
+        assert parsed == seq
+        assert np.array_equal(parsed.pixels.view(np.int64), seq.pixels.view(np.int64))
+
+    def test_negative_and_positive_zero_in_one_frame(self):
+        pixels = np.full((1, 64), 20.0)
+        pixels[0, 3], pixels[0, 40] = -0.0, 0.0
+        seq = ThermalSequence(pixels=pixels)
+        text = serialize_sequence(seq)
+        assert text == serialize_per_value(seq)
+        row = text.splitlines()[1].split(",")  # the timestamp, then the pixels
+        assert (row[1 + 3], row[1 + 40]) == ("-0.0", "0.0")
+        parsed = parse_sequence(text).pixels[0]
+        assert np.signbit(parsed[3]) and not np.signbit(parsed[40])
+
+    def test_subtracted_sequence_refused(self, tmp_path):
+        # The format carries no stage: read back, a subtracted sequence would
+        # be raw, and subtracting the background again would go unnoticed.
+        background = estimate_background(constant_sequence(20.0))
+        sub = subtract_background(constant_sequence(25.0), background)
+        assert sub.stage == "subtracted"
+        with pytest.raises(ValueError, match="only raw sequences"):
+            serialize_sequence(sub)
+        with pytest.raises(ValueError, match="only raw sequences"):
+            write_sequence(sub, tmp_path / "sub.csv")
+        assert not (tmp_path / "sub.csv").exists()
 
 
 def _write_corpus(tmp_path, n_subjects=8, n_sessions=3, labels=ADL7_LABELS):

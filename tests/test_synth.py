@@ -163,6 +163,15 @@ class TestBuiltinScripts:
         assert np.mean(sit) > np.mean(stand)
 
 
+def tree_digest(root):
+    """sha256 over the relative names and bytes of every file under `root`."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 class TestCorpus:
     def test_default_layout(self, small_corpus):
         assert len(small_corpus.entries) == 3 * 1 * 7
@@ -189,14 +198,17 @@ class TestCorpus:
         assert not mismatch and not errors
 
     def test_golden_corpus_digest(self, tmp_path):
-        # sha256 over the relative names and bytes of every file, measured on
-        # the per-frame implementation the array-backed sequence replaced.
+        # Measured on the per-frame implementation the array-backed sequence replaced.
         generate_corpus(tmp_path / "g", subjects=2, reps=1, seed=5)
-        h = hashlib.sha256()
-        for path in sorted(p for p in (tmp_path / "g").rglob("*") if p.is_file()):
-            h.update(path.relative_to(tmp_path / "g").as_posix().encode("utf-8") + b"\0")
-            h.update(path.read_bytes())
-        assert h.hexdigest() == "a631e71421e718dba548350d0957bdf5aef075c49a7599059f4fedb7622caad0"
+        digest = tree_digest(tmp_path / "g")
+        assert digest == "a631e71421e718dba548350d0957bdf5aef075c49a7599059f4fedb7622caad0"
+
+    def test_golden_default_corpus_digest(self, tmp_path):
+        # The 8 x 3, seed-42 corpus every reported figure uses, measured on
+        # the per-value frame writer.
+        generate_corpus(tmp_path / "g", subjects=8, reps=3, seed=42)
+        digest = tree_digest(tmp_path / "g")
+        assert digest == "09710f43cc0c994e06a41fddc39f453903f57808c7899956fd852070d6e30d2d"
 
     def test_subjects_differ(self, tmp_path):
         generate_corpus(tmp_path / "c", subjects=2, reps=1, seed=3)
