@@ -29,9 +29,9 @@ from the last margin matrix and the shrinks since, clears 1 by more than its
 rounding bound only shrinks the weights and skips the margin product. The
 weights equal those of training the classes one at a time, bit for bit.
 
-Non-finite features are refused in training and in prediction: their scores
-would be NaN, and argmax of NaN scores picks class 0 (`fall` in the ADL7
-order).
+Non-finite features are refused in training and in prediction, and so are
+non-finite scores (a loaded model's weights may overflow on finite
+features): argmax of NaN scores picks class 0 (`fall` in the ADL7 order).
 """
 
 from __future__ import annotations
@@ -95,13 +95,11 @@ class SvmModel:
     def dimension(self) -> int:
         return self.weights.shape[1]
 
-    def standardize(self, features: np.ndarray) -> np.ndarray:
-        return (features - self.scaler_mean) / self.scaler_std
-
     def decision_scores(self, features: np.ndarray) -> np.ndarray:
-        """Raw features in, one score per class out (batched if 2-D).
+        """Raw features in, one score per class out (a score row per feature row if 2-D).
 
-        Non-finite features are a ValueError (naming the row if 2-D).
+        Rows are scored one at a time, so a row's scores are the same bits in
+        any batch. A non-finite feature or score is a RowError naming its row.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.shape[-1] != self.dimension:
@@ -109,29 +107,37 @@ class SvmModel:
                 f"feature dimension {features.shape[-1]} does not match "
                 f"model dimension {self.dimension}"
             )
-        _require_finite(features)
-        return self.standardize(features) @ self.weights.T + self.biases
+        _require_finite(features, "feature")
+        rows = features.reshape(-1, self.dimension)
+        # Filled through a view, so the array returned owns its data and keeps no base alive.
+        scores = np.empty(features.shape[:-1] + (len(self.classes),))
+        out = scores.reshape(len(rows), len(self.classes))
+        with np.errstate(all="ignore"):  # a non-finite score is refused below
+            for i, row in enumerate(rows):
+                out[i] = ((row - self.scaler_mean) / self.scaler_std) @ self.weights.T + self.biases
+        _require_finite(scores, "score")
+        return scores
+
+
+class RowError(ValueError):
+    """Rows `bad` of a feature or score matrix are non-finite; `row` is the first."""
+
+    def __init__(self, what: str, bad: np.ndarray):
+        more = f" ({bad.size} such rows)" if bad.size > 1 else ""
+        super().__init__(f"{what} row {bad[0]} has non-finite values{more}")
+        self.row = int(bad[0])
 
 
 def _as_matrix(features) -> np.ndarray:
-    if isinstance(features, np.ndarray) and features.ndim == 2:
-        return np.asarray(features, dtype=np.float64)
-    rows = [np.asarray(f, dtype=np.float64) for f in features]
-    if not rows:
-        raise ValueError("no training examples")
-    lengths = {r.size for r in rows}
-    if len(lengths) != 1:
-        raise ValueError(f"feature dimension mismatch: {sorted(lengths)}")
-    return np.stack(rows)
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"features must be an (N, D) matrix, got shape {X.shape}")
+    return X
 
 
-def _require_finite(X: np.ndarray) -> None:
+def _require_finite(X: np.ndarray, what: str) -> None:
     if not np.isfinite(X).all():
-        bad = np.flatnonzero(~np.isfinite(X.reshape(-1, X.shape[-1])).all(axis=1))
-        raise ValueError(
-            f"feature row {bad[0]} has non-finite values"
-            + (f" ({bad.size} such rows)" if bad.size > 1 else "")
-        )
+        raise RowError(what, np.flatnonzero(~np.isfinite(X.reshape(-1, X.shape[-1])).all(axis=1)))
 
 
 def _objective(w: np.ndarray, Zb: np.ndarray, y: np.ndarray, lam: float) -> float:
@@ -262,15 +268,14 @@ def train(
     cfg: SvmConfig | None = None,
     classes: tuple[str, ...] | None = None,
 ) -> SvmModel:
-    """Fit a one-vs-rest linear SVM.
+    """Fit a one-vs-rest linear SVM on an (N, D) feature matrix.
 
-    `features` may be 1-D arrays or a (N, D) matrix.
     `classes` fixes the class order (default: sorted distinct labels); every
     listed class must appear in `labels` at least once.
     """
     cfg = cfg or SvmConfig()
     X = _as_matrix(features)
-    _require_finite(X)
+    _require_finite(X, "feature")
     labels = [str(l) for l in labels]
     if len(labels) != X.shape[0]:
         raise ValueError(f"{X.shape[0]} feature rows but {len(labels)} labels")
@@ -305,10 +310,8 @@ def train(
         raise ValueError(non_finite)
     weights, biases = np.ascontiguousarray(W[:, :-1]), W[:, -1].copy()
 
-    weights.flags.writeable = False
-    biases.flags.writeable = False
-    mean.flags.writeable = False
-    std.flags.writeable = False
+    for arr in (weights, biases, mean, std):
+        arr.flags.writeable = False
     return SvmModel(
         classes=ordered,
         weights=weights,
@@ -332,17 +335,12 @@ def predict(model: SvmModel, feature) -> tuple[str, np.ndarray]:
 
 
 def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
-    """Labels and (N, C) score matrix for many vectors (N may be 0).
+    """Labels and (N, C) score matrix for an (N, D) feature matrix (N may be 0).
 
-    Rows go through the same path as `predict`, so batch output is
+    `decision_scores` scores each row on its own, so batch output is
     bit-identical to one-at-a-time prediction.
     """
-    X = _as_matrix(features)
-    _require_finite(X)
-    # One row at a time: a batched product rounds differently in the last bits.
-    scores = np.empty((len(X), len(model.classes)))
-    for i, row in enumerate(X):
-        scores[i] = model.decision_scores(row)
+    scores = model.decision_scores(_as_matrix(features))
     labels = [model.classes[i] for i in np.argmax(scores, axis=1)]
     return labels, scores
 
@@ -407,8 +405,8 @@ def load_model(path: str | Path) -> tuple[SvmModel, dict]:
         raise ModelFormatError(f"{path}: inconsistent model dimensions")
     if not all(np.isfinite(arr).all() for arr in (weights, biases, mean, std)):
         raise ModelFormatError(f"{path}: non-finite weights, biases or scaler values")
-    if (std <= 0).any():
-        raise ModelFormatError(f"{path}: scaler_std must be positive")
+    if (std < STD_FLOOR).any():  # train writes 1.0 in place of a smaller std
+        raise ModelFormatError(f"{path}: scaler_std must be at least {STD_FLOOR}")
     if not all(isinstance(c, str) for c in classes) or len(set(classes)) != len(classes):
         raise ModelFormatError(f"{path}: class names must be distinct strings")
     for arr in (weights, biases, mean, std):

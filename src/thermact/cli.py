@@ -16,13 +16,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .classifier import load_model, predict, save_model, train
+from .classifier import RowError, load_model, predict_batch, save_model, train
 from .config import PipelineConfig, apply_overrides, config_from_dict, config_keys, load_config
 from .core import ThermactError, from_json_file, load_manifest, read_sequence
 # loso_split stays bound here: perfbench's tracing test calls cli.loso_split.
-from .evaluate import loso_split, prepare_features, run_pipeline_cv
-from .features import extract_features
-from .preprocess import estimate_background, resample_equal_interval, subtract_background
+from .evaluate import loso_split, prepare_features, run_pipeline_cv, sequence_features
+from .preprocess import estimate_background
 from .synth import SceneParams, generate_corpus
 
 _OVERRIDE_FLAGS = config_keys()
@@ -99,22 +98,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model, embedded = load_model(args.model)
     config = config_from_dict(embedded, f"{args.model}: config")
     background = estimate_background(read_sequence(args.background))
-    for path in args.sequences:
-        seq = read_sequence(path)
-        seq = subtract_background(seq, background)
-        seq = resample_equal_interval(seq, config.preprocess.target_len)
-        vector = extract_features(seq, config.features)
-        try:
-            label, scores = predict(model, vector)
-        except ValueError as exc:
-            raise ThermactError(f"{path}: {exc}") from exc
+    sequences = [read_sequence(path) for path in args.sequences]
+    X = sequence_features(
+        sequences, [background] * len(sequences), config.preprocess.target_len, config.features
+    )
+    try:
+        labels, scores = predict_batch(model, X)
+    except ValueError as exc:
+        # Row k is file k; a dimension mismatch is every file's, so name the first.
+        path = args.sequences[exc.row if isinstance(exc, RowError) else 0]
+        raise ThermactError(f"{path}: {exc}") from exc
+    for path, label, row in zip(args.sequences, labels, scores.tolist()):
+        line = f"{path}\t{label}"
         if args.scores:
-            rendered = " ".join(
-                f"{cls}={score:.6g}" for cls, score in zip(model.classes, scores)
-            )
-            print(f"{path}\t{label}\t{rendered}")
-        else:
-            print(f"{path}\t{label}")
+            line += "\t" + " ".join(f"{cls}={score:.6g}" for cls, score in zip(model.classes, row))
+        print(line)
     return 0
 
 

@@ -370,9 +370,9 @@ class DatasetManifest:
     Construction validates the structural invariants (non-empty, labels drawn
     from `label_set`, unique paths); file-level checks happen in
     `load_manifest`. `root` is the directory entry paths are resolved against.
-    `_parsed` maps each entry and background path to the stamp of its file
-    and the sequence parsed from it until `recording` hands that out (None
-    after); `load_manifest` fills it, a manifest built in memory has none.
+    `_parsed` maps each entry and background path to its minimum frame count,
+    its file's stamp and its parsed sequence until `recording` hands that out
+    (None after); `load_manifest` fills it, a manifest built in memory has none.
     """
 
     entries: tuple[ManifestEntry, ...]
@@ -398,20 +398,20 @@ class DatasetManifest:
 
         The first lookup hands out the sequence `load_manifest` parsed, and
         the manifest lets go of it. A later lookup, or one after the file has
-        changed, reads the file, so a lookup never returns frames the file no
-        longer holds.
+        changed, reads the file under `load_manifest`'s checks: a lookup only
+        returns frames the file holds now and the manifest accepts.
         """
         try:
-            stamp, seq = self._parsed[path]
+            min_frames, stamp, seq = self._parsed[path]
         except KeyError:
             raise ManifestError(
                 [f"no parsed recording for {path!r}: load the manifest with load_manifest"]
             ) from None
         file = self.resolve(path)
-        if seq is None or _stamp(file.stat()) != stamp:
-            return read_sequence(file)
-        self._parsed[path] = stamp, None
-        return seq
+        if seq is not None and _stamp(file.stat()) == stamp:
+            self._parsed[path] = min_frames, stamp, None
+            return seq
+        return _read_checked(file, min_frames)[1]
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int]:
@@ -529,11 +529,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     wanted = [(e.path, MIN_ACTIVITY_FRAMES) for e in entries]
     wanted += [(bg.path, 1) for bg in backgrounds]
     for rel, min_frames in wanted:
-        recording, problem = _read_checked(_resolve(root, rel), min_frames)
-        if problem is not None:
-            violations.append(problem)
-        else:
-            parsed[rel] = recording
+        try:
+            parsed[rel] = min_frames, *_read_checked(_resolve(root, rel), min_frames)
+        except ManifestError as exc:
+            violations += exc.violations
 
     if violations:
         raise ManifestError(violations, f"manifest {path}")
@@ -548,17 +547,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def _read_checked(path: Path, min_frames: int):
-    """(file stamp, parsed file) and None, or None and the violation that stops it."""
+    """(file stamp, parsed file), or a ManifestError naming the file."""
     if not path.is_file():
-        return None, f"missing file: {path}"
+        raise ManifestError([f"missing file: {path}"])
     st = path.stat()  # before the read: a change in between then shows as a change
     try:
         seq = read_sequence(path)
     except SequenceFormatError as exc:
-        return None, str(exc)
+        raise ManifestError([str(exc)]) from None
     if len(seq) < min_frames:
-        return None, f"{path}: needs at least {min_frames} frames, has {len(seq)}"
-    return (_stamp(st), seq), None
+        raise ManifestError([f"{path}: needs at least {min_frames} frames, has {len(seq)}"])
+    return _stamp(st), seq
 
 
 def load_sequences(manifest: DatasetManifest) -> list[ThermalSequence]:

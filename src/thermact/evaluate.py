@@ -20,10 +20,11 @@ import numpy as np
 from . import __version__
 from . import classifier as svm
 from .config import PipelineConfig
-from .core import DatasetManifest, ThermactError, load_backgrounds, load_sequences
+from .core import DatasetManifest, ThermactError, ThermalSequence, load_backgrounds, load_sequences
 from .features import FeatureConfig, feature_matrix
 from .preprocess import (
     DEFAULT_TARGET_LEN,
+    BackgroundModel,
     estimate_background,
     resample_equal_interval,
     subtract_background,
@@ -31,8 +32,8 @@ from .preprocess import (
 
 FALL_LABEL = "fall"
 
-# Sequences per feature_matrix call in prepare_features: the resampled pixels
-# of a chunk, not of the whole dataset, are held at once.
+# Sequences per feature_matrix call in sequence_features: the resampled pixels
+# of a chunk, not of all the sequences, are held at once.
 FEATURE_CHUNK = 32
 
 Fold = tuple[np.ndarray, np.ndarray]
@@ -252,12 +253,27 @@ class EvalReport:
         }
 
 
-def build_background_models(manifest: DatasetManifest):
-    """BackgroundModel per declared session plus the "" global fallback."""
-    return {
-        session: estimate_background(seq)
-        for session, seq in load_backgrounds(manifest).items()
-    }
+def sequence_features(
+    sequences: list[ThermalSequence],
+    backgrounds: list[BackgroundModel],
+    target_len: int = DEFAULT_TARGET_LEN,
+    feature_config: FeatureConfig | None = None,
+) -> np.ndarray:
+    """The (N, D) feature matrix of raw sequences: row i is sequence i's.
+
+    Each sequence has background i subtracted and is resampled to
+    `target_len` frames; then FEATURE_CHUNK sequences at a time go through
+    one `feature_matrix` call. A row is the same in any chunk.
+    """
+    blocks = []
+    for lo in range(0, len(sequences), FEATURE_CHUNK):
+        chunk = slice(lo, lo + FEATURE_CHUNK)
+        processed = [
+            resample_equal_interval(subtract_background(seq, bg), target_len)
+            for seq, bg in zip(sequences[chunk], backgrounds[chunk], strict=True)
+        ]
+        blocks.append(feature_matrix(processed, feature_config))
+    return np.concatenate(blocks)
 
 
 def prepare_features(
@@ -265,31 +281,19 @@ def prepare_features(
     target_len: int = DEFAULT_TARGET_LEN,
     feature_config: FeatureConfig | None = None,
 ) -> tuple[np.ndarray, list[str]]:
-    """Run every entry through subtraction/resampling/extraction.
-
-    Returns the (N, D) feature matrix and the true labels, in manifest
-    order. Features are deterministic per sequence, so computing them once
-    up front is leak-free; only standardization is fold-dependent. Each row
-    is the same whichever chunk it is computed in.
+    """`sequence_features` of every entry, with its session's background clip
+    or else the global ("") one: the (N, D) feature matrix and the true
+    labels, in manifest order. Features are deterministic per sequence, so
+    computing them once up front is leak-free; only standardization is
+    fold-dependent.
     """
-    backgrounds = build_background_models(manifest)
-    if not backgrounds:
-        raise ThermactError("manifest declares no background clip")
-    sequences = load_sequences(manifest)
-    blocks = []
-    for lo in range(0, len(sequences), FEATURE_CHUNK):
-        processed = []
-        chunk = slice(lo, lo + FEATURE_CHUNK)
-        for entry, seq in zip(manifest.entries[chunk], sequences[chunk]):
-            bg = backgrounds.get(entry.session_id, backgrounds.get(""))
-            if bg is None:
-                raise ThermactError(
-                    f"no background clip for session {entry.session_id!r} and no global fallback"
-                )
-            seq = subtract_background(seq, bg)
-            processed.append(resample_equal_interval(seq, target_len))
-        blocks.append(feature_matrix(processed, feature_config))
-    return np.concatenate(blocks), [e.label for e in manifest.entries]
+    models = {s: estimate_background(seq) for s, seq in load_backgrounds(manifest).items()}
+    backgrounds = [models.get(e.session_id, models.get("")) for e in manifest.entries]
+    if None in backgrounds:
+        session = manifest.entries[backgrounds.index(None)].session_id
+        raise ThermactError(f"no background clip for session {session!r} and no global fallback")
+    X = sequence_features(load_sequences(manifest), backgrounds, target_len, feature_config)
+    return X, [e.label for e in manifest.entries]
 
 
 def run_pipeline_cv(

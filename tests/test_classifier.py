@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -81,8 +82,12 @@ class TestTrain:
             train([], [])
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            train([np.zeros(3), np.zeros(4)], ["a", "b"])
+        # Features are one (N, D) matrix: a row vector or a stack of matrices is refused.
+        for features in (np.zeros(3), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match=r"\(N, D\) matrix"):
+                train(features, ["a", "b"])
+            with pytest.raises(ValueError, match=r"\(N, D\) matrix"):
+                predict_batch(train(np.eye(2), ["a", "b"]), features)
 
     def test_missing_class_rejected(self):
         X = np.array([[0.0], [1.0]])
@@ -341,6 +346,38 @@ class TestNonFinite:
         queries[4, 1] = np.nan
         with pytest.raises(ValueError, match="row 4"):
             predict_batch(model, queries)
+
+    def test_overflowing_scores_name_the_row(self, clusters):
+        # Finite features, but weights that overflow on any non-zero
+        # standardized value: only row 2 differs from the scaler mean.
+        X, labels = clusters
+        model = dataclasses.replace(train(X, labels), weights=np.full((7, X.shape[1]), 1e308))
+        queries = np.tile(model.scaler_mean, (4, 1))
+        queries[2] = X[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(classifier.RowError, match="^score row 2 has non-finite values$") as excinfo:
+                predict_batch(model, queries)
+            assert excinfo.value.row == 2
+            with pytest.raises(ValueError, match="score row 0"):
+                predict(model, X[0])
+            assert predict_batch(model, queries[:2])[0] == [model.classes[int(np.argmax(model.biases))]] * 2
+
+    def test_load_model_refuses_a_scaler_std_below_the_floor(self, clusters, tmp_path):
+        # train writes 1.0 in place of any std below STD_FLOOR, so a smaller
+        # one only comes from an edited file; 1e-310 turned every score NaN.
+        X, labels = clusters
+        path = tmp_path / "model.json"
+        save_model(train(X, labels), path)
+        data = json.loads(path.read_text())
+        for std, accepted in [(1e-310, False), (STD_FLOOR / 2, False), (STD_FLOOR, True)]:
+            data["scaler_std"][3] = std
+            path.write_text(json.dumps(data))
+            if accepted:
+                assert load_model(path)[0].scaler_std[3] == STD_FLOOR
+            else:
+                with pytest.raises(ModelFormatError, match=f"scaler_std must be at least {STD_FLOOR}"):
+                    load_model(path)
 
     @pytest.mark.parametrize("c", [1e-320, 1e308])
     def test_regularization_without_a_finite_step_scale(self, clusters, c):

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -257,12 +258,10 @@ class TestTrainPredict:
         # equals the offline pipeline result
         from thermact.classifier import load_model, predict
         from thermact.core import read_sequence
-        from thermact.evaluate import build_background_models
         from thermact.features import extract_features
-        from thermact.preprocess import resample_equal_interval, subtract_background
+        from thermact.preprocess import estimate_background, resample_equal_interval, subtract_background
 
-        manifest = load_manifest(corpus_dir / "manifest.json")
-        bg = build_background_models(manifest)[""]
+        bg = estimate_background(read_sequence(corpus_dir / "background.csv"))
         model, _ = load_model(model_path)
         offline = subtract_background(read_sequence(seq_path), bg)
         offline = resample_equal_interval(offline, 20)
@@ -324,19 +323,93 @@ class TestTrainPredict:
         model_path = tmp_path / "model.json"
         main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
         capsys.readouterr()
-        real = cli.extract_features
+        real = cli.sequence_features
 
-        def nan_features(seq, cfg):
-            vector = real(seq, cfg).copy()
-            vector[7] = np.nan
-            return vector
+        def nan_features(*args):
+            X = real(*args).copy()
+            X[0, 7] = np.nan
+            return X
 
-        monkeypatch.setattr(cli, "extract_features", nan_features)
+        monkeypatch.setattr(cli, "sequence_features", nan_features)
         assert self._predict(corpus_dir, model_path) == 1
         captured = capsys.readouterr()
         assert "fall" not in captured.out
         assert "s01r1_fall.csv" in captured.err and "non-finite" in captured.err
         assert "Traceback" not in captured.err
+
+    def _doctored_model(self, tiny_corpus_dir, tmp_path, key, value):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(tiny_corpus_dir / "manifest.json"), "--model", str(model_path)])
+        data = json.loads(model_path.read_text())
+        data[key] = np.full(np.shape(data[key]), value).tolist()
+        model_path.write_text(json.dumps(data))
+        return model_path
+
+    def _predict_all(self, data_dir, model_path, files, *flags):
+        argv = ["predict", "--model", str(model_path), "--background", str(data_dir / "background.csv")]
+        return main([*argv, *flags, *map(str, files)])
+
+    def test_model_with_a_tiny_scaler_std_is_refused(self, tiny_corpus_dir, tmp_path, capsys):
+        # Dividing by 1e-310 overflows every standardized feature, which would
+        # score NaN for every class and so pick the label "fall".
+        model_path = self._doctored_model(tiny_corpus_dir, tmp_path, "scaler_std", 1e-310)
+        capsys.readouterr()
+        files = sorted(tiny_corpus_dir.glob("s0*.csv"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._predict_all(tiny_corpus_dir, model_path, files, "--scores") == 1
+        assert one_error_line(capsys, str(model_path), "scaler_std") == ""
+
+    def test_model_with_huge_weights_is_an_error_not_a_label(self, tiny_corpus_dir, tmp_path, capsys):
+        # A loaded model that passes every file check but scores inf and NaN.
+        model_path = self._doctored_model(tiny_corpus_dir, tmp_path, "weights", 1e308)
+        capsys.readouterr()
+        files = sorted(tiny_corpus_dir.glob("s0*.csv"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._predict_all(tiny_corpus_dir, model_path, files, "--scores") == 1
+        assert one_error_line(capsys, f"{files[0]}: score row 0 has non-finite values") == ""
+
+    def test_one_call_prints_what_one_call_per_file_prints(self, tiny_corpus_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(tiny_corpus_dir / "manifest.json"), "--model", str(model_path)])
+        files = sorted(tiny_corpus_dir.glob("s0*.csv"))
+        assert len(files) == 14
+        capsys.readouterr()
+        assert self._predict_all(tiny_corpus_dir, model_path, files, "--scores") == 0
+        together = capsys.readouterr().out
+        for path in files:
+            assert self._predict_all(tiny_corpus_dir, model_path, [path], "--scores") == 0
+        assert capsys.readouterr().out == together
+        assert together.count("\n") == 14
+
+    def test_a_row_error_names_its_file(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        import thermact.cli as cli
+
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
+        capsys.readouterr()
+        real = cli.sequence_features
+
+        def nan_features(*args):
+            X = real(*args).copy()
+            X[1, 3] = np.inf
+            return X
+
+        monkeypatch.setattr(cli, "sequence_features", nan_features)
+        files = [corpus_dir / f"s0{k}r1_fall.csv" for k in (1, 2, 3)]
+        assert self._predict_all(corpus_dir, model_path, files) == 1
+        assert one_error_line(capsys, f"{files[1]}: feature row 1 has non-finite values") == ""
+
+    def test_an_unreadable_file_prints_no_labels(self, corpus_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
+        bad = tmp_path / "one_field.csv"
+        bad.write_text("20.0\n")
+        capsys.readouterr()
+        files = [corpus_dir / "s01r1_fall.csv", bad, corpus_dir / "s02r1_fall.csv"]
+        assert self._predict_all(corpus_dir, model_path, files) == 1
+        assert one_error_line(capsys, f"{bad}: line 1: expected 64 or 65 fields") == ""
 
     def test_non_utf8_sequence_is_an_error(self, corpus_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import fields
 
 import pytest
@@ -88,6 +89,11 @@ def test_values_pass_through_unchanged():
 def test_malformed_values_name_where_and_key(data, message):
     with pytest.raises(ConfigError, match=f"^here: {message}"):
         config_from_dict(data, "here")
+
+
+def test_largest_finite_number_is_a_finite_number():
+    config = config_from_dict({"svm": {"tolerance": sys.float_info.max}}, "here")
+    assert config.svm.tolerance == sys.float_info.max
 
 
 def test_range_checks_refuse_nan():

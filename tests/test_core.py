@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,15 @@ class TestParseSequence:
         rows = ["0," + ",".join(["20.0"] * 64), f"{stamp}," + ",".join(["20.0"] * 64)]
         with pytest.raises(SequenceFormatError, match="line 2: timestamp must be"):
             parse_sequence("\n".join(rows))
+
+    def test_timestamps_stop_below_two_to_the_63(self):
+        # 2**63 itself would wrap to a negative int64; the largest float64
+        # below it, 2**63 - 1024, fits and is stored exactly.
+        row = "," + ",".join(["20.0"] * 64)
+        with pytest.raises(SequenceFormatError, match="line 2: timestamp must be a non-negative integer"):
+            parse_sequence("0" + row + "\n9223372036854775808" + row)
+        seq = parse_sequence("0" + row + "\n9223372036854774784" + row)
+        assert seq.timestamps_ms.tolist() == [0, 9223372036854774784]
 
     def test_first_bad_line_wins(self):
         # A value error on line 1 is reported ahead of the arity error on line 2.
@@ -359,6 +369,16 @@ class TestManifest:
         with pytest.raises(ManifestError, match="at least 2 frames"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "session, problem", [("r", "session 'r'"), ("", "the global fallback")]
+    )
+    def test_one_background_clip_per_session(self, session, problem):
+        entry = ManifestEntry(path="a.csv", label="fall", subject_id="s", session_id="r")
+        clips = (BackgroundEntry("b1.csv", session), BackgroundEntry("b2.csv", session))
+        with pytest.raises(ManifestError) as excinfo:
+            DatasetManifest(entries=(entry,), label_set=("fall",), backgrounds=clips)
+        assert excinfo.value.violations == [f"more than one background clip for {problem}"]
+
     def test_ids_must_be_strings(self, tmp_path):
         path = _write_corpus(tmp_path, n_subjects=1, n_sessions=1)
         data = json.loads(path.read_text())
@@ -449,6 +469,20 @@ class TestManifest:
         assert sequences[2] == constant_sequence(20.0, 22.0, 23.0)
         assert sequences[1] == constant_sequence(20.0, 21.0)
         assert calls == [tmp_path / "bg.csv", manifest.resolve(entry.path)]
+
+    def test_a_file_rewritten_after_loading_is_checked_again(self, tmp_path):
+        # A rewritten file is read under the checks load_manifest applied: an
+        # activity needs two frames, and a background must still parse.
+        manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))
+        short = manifest.resolve(manifest.entries[0].path)
+        write_sequence(constant_sequence(20.0), short)
+        with pytest.raises(ManifestError, match=re.escape(f"{short}: needs at least 2 frames, has 1")):
+            load_sequences(manifest)
+        (tmp_path / "bg.csv").write_text("20.0\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{tmp_path / 'bg.csv'}: line 1: expected 64")):
+            load_backgrounds(manifest)
+        write_sequence(constant_sequence(19.0), tmp_path / "bg.csv")  # one frame is enough
+        assert load_backgrounds(manifest)[""] == constant_sequence(19.0)
 
     def test_a_file_deleted_after_loading_is_an_error(self, tmp_path):
         manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))

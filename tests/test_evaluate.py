@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from thermact.classifier import SvmConfig
 from thermact.config import EvalSettings, PipelineConfig
-from thermact.core import DatasetManifest, ManifestEntry, ThermactError
+from thermact.core import ADL7_LABELS, DatasetManifest, ManifestEntry, ThermactError
 from thermact.evaluate import (
     ConfusionMatrix,
     confusion_from_records,
@@ -120,6 +120,16 @@ class TestStratifiedKfold:
         f2 = stratified_kfold_split(manifest, k=4, seed=9)
         for (tr1, te1), (tr2, te2) in zip(f1, f2):
             assert np.array_equal(te1, te2)
+
+    def test_fold_sizes_of_the_default_corpus_shape(self):
+        # 8 subjects x 3 sessions x 7 activities at k=10: each class deals its
+        # 24 members from its own rotated fold, so the extra four members of
+        # the seven classes spread over the folds instead of piling on 0-3.
+        labels = [l for _ in range(8 * 3) for l in ADL7_LABELS]
+        subjects = [f"s{i // 21}" for i in range(len(labels))]
+        manifest = manifest_of(labels, subjects, label_set=ADL7_LABELS)
+        folds = stratified_kfold_split(manifest, k=10, seed=42)
+        assert [len(test) for _, test in folds] == [15, 16, 17, 18, 18, 18, 18, 17, 16, 15]
 
     def test_deficient_class_named(self):
         manifest = manifest_of(["a"] * 10 + ["b"] * 2, ["s"] * 12, label_set=["a", "b"])

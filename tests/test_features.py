@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermact.core import ThermalSequence, load_manifest, load_sequences
-from thermact.evaluate import build_background_models
+from thermact.core import ThermalSequence, load_backgrounds, load_manifest, load_sequences
 from thermact.features import (
     FeatureConfig,
     dct_matrix,
     extract_features,
     feature_matrix,
 )
-from thermact.preprocess import resample_equal_interval, subtract_background
+from thermact.preprocess import estimate_background, resample_equal_interval, subtract_background
 from thermact.synth import generate_corpus
 
 
@@ -175,9 +174,9 @@ def default_corpus_sequences(tmp_path_factory):
     """The default corpus (8 subjects x 3 sessions, seed 42), subtracted and resampled."""
     out = tmp_path_factory.mktemp("default_corpus")
     manifest = load_manifest(generate_corpus(out, subjects=8, reps=3, seed=42).manifest_path)
-    backgrounds = build_background_models(manifest)
+    background = estimate_background(load_backgrounds(manifest)[""])
     return [
-        resample_equal_interval(subtract_background(seq, backgrounds[""]), 20)
+        resample_equal_interval(subtract_background(seq, background), 20)
         for seq in load_sequences(manifest)
     ]
 

@@ -11,13 +11,14 @@ import io
 import json
 import math
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from thermact.classifier import ModelFormatError, load_model, save_model, train
+from thermact.classifier import STD_FLOOR, ModelFormatError, load_model, predict, save_model, train
 from thermact.cli import main
 from thermact.config import PipelineConfig, config_from_dict, config_keys, load_config
 from thermact.core import (
@@ -25,6 +26,7 @@ from thermact.core import (
     DatasetManifest,
     ManifestError,
     SequenceFormatError,
+    ThermactError,
     ThermalSequence,
     from_json_file,
     load_manifest,
@@ -147,6 +149,45 @@ def test_model_config_block(fuzz_dir, model_file, value):
         config_from_dict(embedded, f"{path}: config")
     except ConfigError as exc:
         assert_names(exc, path)
+
+
+# Finite model values that often overflow a score, and scaler stds of which
+# some fall below STD_FLOOR; the model file check refuses the latter.
+MODEL_VALUES = (
+    st.sampled_from([0.0, 1.0, -1.0, 5e-324, 1e154, 1e308, -1e308])
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+MODEL_STDS = st.sampled_from([STD_FLOOR, 1.0, 1e308, 1e-310, 0.0]) | st.floats(STD_FLOOR, 1e308)
+
+
+@FUZZ
+@given(
+    arrays=st.fixed_dictionaries({
+        "weights": st.lists(st.lists(MODEL_VALUES, min_size=4, max_size=4), min_size=3, max_size=3),
+        "biases": st.lists(MODEL_VALUES, min_size=3, max_size=3),
+        "scaler_mean": st.lists(MODEL_VALUES, min_size=4, max_size=4),
+        "scaler_std": st.lists(MODEL_STDS, min_size=4, max_size=4),
+    }),
+    row=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+)
+def test_model_scores(fuzz_dir, model_file, arrays, row):
+    # A model file that loads gives finite scores for a finite feature row,
+    # or an error: never a label picked from NaN or infinite scores.
+    path = write_json(fuzz_dir / "model.json", dict(model_file, **arrays))
+    try:
+        model, _ = load_model(path)
+    except ModelFormatError as exc:
+        assert_names(exc, path)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            label, scores = predict(model, np.array(row))
+        except (ThermactError, ValueError):
+            event("refused")
+            return
+    event("scored")
+    assert np.isfinite(scores).all() and label in model.classes
 
 
 GOOD_FIELDS = ["20.0", "21.5", "0", "80", " 3 ", "7", "1e1"]

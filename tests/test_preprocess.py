@@ -50,6 +50,12 @@ class TestEstimateBackground:
         assert np.allclose(bg.mean_pixels, totals / n, atol=1e-12)
         assert np.all(np.abs(bg.mean_pixels - mu) < 3.0 * sigma / np.sqrt(n) + 4 * sigma / np.sqrt(n))
 
+    @pytest.mark.parametrize("value", [-0.5, 80.5])
+    def test_mean_outside_the_sensor_range_rejected(self, value):
+        with pytest.raises(ValueError, match=r"background mean outside \[0.0, 80.0\] C"):
+            BackgroundModel(mean_pixels=np.full(64, value))
+        BackgroundModel(mean_pixels=np.clip(np.full(64, value), 0.0, 80.0))
+
     def test_rejects_subtracted_input(self):
         with pytest.raises(ValueError, match="raw"):
             estimate_background(seq_of([1.0], stage="subtracted"))
