@@ -20,12 +20,7 @@ from .core import (
     write_manifest,
     write_sequence,
 )
-from .preprocess import (
-    BackgroundModel,
-    estimate_background,
-    resample_equal_interval,
-    subtract_background,
-)
+from .preprocess import estimate_background, resample_equal_interval, subtract_background
 from .features import (
     FeatureConfig,
     dct_matrix,

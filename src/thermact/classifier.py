@@ -102,6 +102,8 @@ class SvmModel:
         any batch. A non-finite feature or score is a RowError naming its row.
         """
         features = np.asarray(features, dtype=np.float64)
+        if features.ndim not in (1, 2):
+            raise ValueError(f"features must be a (D,) row or (N, D) matrix, got {features.shape}")
         if features.shape[-1] != self.dimension:
             raise ValueError(
                 f"feature dimension {features.shape[-1]} does not match "

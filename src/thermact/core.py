@@ -6,13 +6,12 @@ validity rules that construction and parsing both apply. Frame files are
 plain CSV (one frame per row); which activity a recording shows, and who
 performed it, lives in a JSON manifest so recordings can be re-labeled
 without touching pixel data. Loading a manifest parses every file once and
-holds each recording it parsed until a later stage looks it up, so loading and
+holds each recording it parsed until a later step looks it up, so loading and
 then using a manifest reads each file once.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import os
@@ -30,10 +29,6 @@ PIXEL_COUNT = GRID_SIZE * GRID_SIZE
 # Measurement range of the Grid-EYE style thermopile arrays this library targets.
 TEMP_MIN_C = 0.0
 TEMP_MAX_C = 80.0
-
-# Processing stages of a sequence.
-RAW = "raw"
-SUBTRACTED = "subtracted"
 
 # Default 7-activity label schema for overhead fall/ADL monitoring.
 ADL7_LABELS = (
@@ -146,15 +141,13 @@ def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
     return arr
 
 
-def _first_bad_frame(
-    pixels: np.ndarray, timestamps: np.ndarray, raw: bool
-) -> tuple[int, str] | None:
+def _first_bad_frame(pixels: np.ndarray, timestamps: np.ndarray) -> tuple[int, str] | None:
     """Index of the first frame that breaks a validity rule, and the rule.
 
     `pixels` is (F, 64) float64, `timestamps` (F,) float64. Every frame needs
     64 finite pixels and a non-negative integer timestamp no smaller than the
     one before it (equal stamps are legal: files without a timestamp column
-    are all 0); raw frames must lie within the sensor range. None if all hold.
+    are all 0), and must lie within the sensor range. None if all hold.
     """
     if pixels.ndim != 2 or pixels.shape[1] != PIXEL_COUNT:
         return 0, f"needs {PIXEL_COUNT} pixels per frame, got shape {pixels.shape}"
@@ -170,12 +163,11 @@ def _first_bad_frame(
             "timestamp {ts:g} is earlier than the previous frame's {prev:g}",
         ),
         (~np.isfinite(pixels).all(axis=1), "non-finite pixel value"),
-    ]
-    if raw:
-        rules.append((
+        (
             ((pixels < TEMP_MIN_C) | (pixels > TEMP_MAX_C)).any(axis=1),
             f"raw temperature outside [{TEMP_MIN_C}, {TEMP_MAX_C}] C (min={{lo}}, max={{hi}})",
-        ))
+        ),
+    ]
     # (row, rule number) of each broken rule's first row; ties go to the earlier rule.
     broken = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
     if not broken:
@@ -188,15 +180,15 @@ def _first_bad_frame(
 
 @dataclass(frozen=True, eq=False)
 class ThermalSequence:
-    """The frames of one recording.
+    """The raw frames of one recording, as a file or the generator made them.
 
     `pixels` is a read-only (F, 64) float64 array, one row-major 8x8 grid of
-    temperatures (degrees Celsius) per frame; `timestamps_ms` is a read-only
-    (F,) int64 array, all 0 when the source carried no timing (the default).
-    `stage` tracks whether the frames are raw sensor readings or have had a
-    background subtracted; raw frames must lie within the sensor measurement
-    range, subtracted frames may be negative. What a recording shows and who
-    is in it are manifest facts (`ManifestEntry`), not part of the sequence.
+    temperatures (degrees Celsius) per frame, each within the sensor
+    measurement range; `timestamps_ms` is a read-only (F,) int64 array, all 0
+    when the source carried no timing (the default). What is derived from a
+    recording (its background-subtracted or resampled frames) is a plain
+    array, not a sequence. What a recording shows and who is in it are
+    manifest facts (`ManifestEntry`), not part of the sequence.
     Activity recordings are expected to hold at least 2 frames; single-frame
     sequences are permitted so that e.g. a one-frame empty-scene clip can
     still seed a background model.
@@ -204,18 +196,15 @@ class ThermalSequence:
 
     pixels: np.ndarray
     timestamps_ms: np.ndarray | None = None
-    stage: str = RAW
 
     def __post_init__(self):
-        if self.stage not in (RAW, SUBTRACTED):
-            raise ValueError(f"unknown processing stage: {self.stage!r}")
         pixels = np.array(self.pixels, dtype=np.float64)
         if pixels.size == 0:
             raise ValueError("sequence needs at least one frame")
         stamps = np.zeros(pixels.shape[:1])
         if self.timestamps_ms is not None:
             stamps = np.array(self.timestamps_ms)
-        bad = _first_bad_frame(pixels, stamps.astype(np.float64), self.stage == RAW)
+        bad = _first_bad_frame(pixels, stamps.astype(np.float64))
         if bad is not None:
             raise ValueError(f"frame {bad[0]}: {bad[1]}")
         stamps = stamps.astype(np.int64)
@@ -230,10 +219,8 @@ class ThermalSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThermalSequence):
             return NotImplemented
-        return (
-            self.stage == other.stage
-            and np.array_equal(self.timestamps_ms, other.timestamps_ms)
-            and np.array_equal(self.pixels, other.pixels)
+        return np.array_equal(self.timestamps_ms, other.timestamps_ms) and np.array_equal(
+            self.pixels, other.pixels
         )
 
 
@@ -247,7 +234,7 @@ class ThermalSequence:
 
 
 def parse_sequence(source: bytes | str) -> ThermalSequence:
-    """Parse frame CSV content into a raw sequence.
+    """Parse frame CSV content into a sequence.
 
     Raises SequenceFormatError naming the first offending 1-based line for
     text that is not UTF-8, rows with the wrong field count, non-numeric or
@@ -292,7 +279,7 @@ def parse_sequence(source: bytes | str) -> ThermalSequence:
         except ValueError:
             pass  # a bad value: found again below to name its line
     # A bad value in an earlier row is reported before the row error.
-    bad = _first_bad_frame(np.array(rows), np.array(stamps), raw=True) if rows else None
+    bad = _first_bad_frame(np.array(rows), np.array(stamps)) if rows else None
     if bad is not None:
         raise SequenceFormatError(f"line {linenos[bad[0]]}: {bad[1]}")
     if error is not None:
@@ -316,15 +303,12 @@ def read_sequence(path: str | Path) -> ThermalSequence:
 
 
 def serialize_sequence(seq: ThermalSequence) -> str:
-    """Render a raw sequence as frame CSV at full float precision.
+    """Render a sequence as frame CSV at full float precision.
 
     The timestamp column is always written, and each pixel as the `repr` of
     its float, so `parse_sequence` of the result reproduces the frames
-    bit-exactly. The format has no stage, so a background-subtracted
-    sequence is refused (ValueError) rather than read back as raw.
+    bit-exactly.
     """
-    if seq.stage != RAW:
-        raise ValueError(f"only raw sequences are written as frame CSV, got stage {seq.stage!r}")
     # One repr per distinct bit pattern: quantized frames hold few distinct
     # values, and bits keep -0.0 apart from 0.0.
     bits, inverse = np.unique(seq.pixels.view(np.int64).ravel(), return_inverse=True)
@@ -417,20 +401,6 @@ class DatasetManifest:
 def _stamp(st: os.stat_result) -> tuple[int, int, int]:
     """What changes when a file is rewritten or replaced: inode, mtime, size."""
     return st.st_ino, st.st_mtime_ns, st.st_size
-
-
-def _derived(seq: ThermalSequence, **changes) -> ThermalSequence:
-    """`seq` with `changes`, neither copied nor checked again.
-
-    Only for changes that keep a checked sequence valid. New arrays are
-    made read-only and shared with the result.
-    """
-    out = copy.copy(seq)
-    for name, value in changes.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        object.__setattr__(out, name, value)
-    return out
 
 
 def _resolve(root: Path | None, path: str) -> Path:

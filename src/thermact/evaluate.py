@@ -24,7 +24,6 @@ from .core import DatasetManifest, ThermactError, ThermalSequence, load_backgrou
 from .features import FeatureConfig, feature_matrix
 from .preprocess import (
     DEFAULT_TARGET_LEN,
-    BackgroundModel,
     estimate_background,
     resample_equal_interval,
     subtract_background,
@@ -255,13 +254,13 @@ class EvalReport:
 
 def sequence_features(
     sequences: list[ThermalSequence],
-    backgrounds: list[BackgroundModel],
+    backgrounds: list[np.ndarray],
     target_len: int = DEFAULT_TARGET_LEN,
     feature_config: FeatureConfig | None = None,
 ) -> np.ndarray:
     """The (N, D) feature matrix of raw sequences: row i is sequence i's.
 
-    Each sequence has background i subtracted and is resampled to
+    Each sequence has background mean i subtracted and is resampled to
     `target_len` frames; then FEATURE_CHUNK sequences at a time go through
     one `feature_matrix` call. A row is the same in any chunk.
     """
@@ -289,9 +288,9 @@ def prepare_features(
     """
     models = {s: estimate_background(seq) for s, seq in load_backgrounds(manifest).items()}
     backgrounds = [models.get(e.session_id, models.get("")) for e in manifest.entries]
-    if None in backgrounds:
-        session = manifest.entries[backgrounds.index(None)].session_id
-        raise ThermactError(f"no background clip for session {session!r} and no global fallback")
+    missing = [e.session_id for e, bg in zip(manifest.entries, backgrounds) if bg is None]
+    if missing:
+        raise ThermactError(f"no background clip for session {missing[0]!r} and no global fallback")
     X = sequence_features(load_sequences(manifest), backgrounds, target_len, feature_config)
     return X, [e.label for e in manifest.entries]
 

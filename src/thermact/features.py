@@ -1,6 +1,7 @@
-"""Cosine-transform features for equal-length thermal sequences.
+"""Cosine-transform features for equal-length background-subtracted recordings.
 
-Two blocks are concatenated into one vector per sequence:
+Each recording is its (F, 64) array of background-subtracted frames. Two
+blocks are concatenated into one vector per recording:
 
 * temporal: for each of the 64 pixels, the magnitudes of the first
   `temporal_k` coefficients of the orthonormal DCT-II of that pixel's time
@@ -11,7 +12,7 @@ Two blocks are concatenated into one vector per sequence:
 
 The orthonormal convention (transform matrix times its transpose is the
 identity) is used throughout, so energy is preserved and tolerances are
-unit-free. `feature_matrix` computes the rows of many sequences at once;
+unit-free. `feature_matrix` computes the rows of many recordings at once;
 `extract_features` is its one-row case, so both give the same bits.
 """
 
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GRID_SIZE, SUBTRACTED, ThermalSequence
+from .core import GRID_SIZE, PIXEL_COUNT
 
 @lru_cache(maxsize=128)
 def dct_matrix(n: int) -> np.ndarray:
@@ -57,25 +58,24 @@ class FeatureConfig:
 
 
 def feature_matrix(
-    sequences: list[ThermalSequence], cfg: FeatureConfig | None = None
+    sequences: list[np.ndarray], cfg: FeatureConfig | None = None
 ) -> np.ndarray:
-    """One feature row per sequence: the temporal block, then the spatial block.
+    """One feature row per (F, 64) frame array: the temporal block, then the spatial block.
 
-    Every sequence must already be background-subtracted, and all must have
-    the same number of frames F, at least `cfg.temporal_k`; a row holds
-    64 * temporal_k + spatial_block**2 * F values. The pixels of all N
-    sequences are stacked as one (N, F, 64) array and both blocks come from
-    one product each.
+    All arrays must have the same number of frames F, at least
+    `cfg.temporal_k`; a row holds 64 * temporal_k + spatial_block**2 * F
+    values. The N arrays are stacked as one (N, F, 64) array and both blocks
+    come from one product each.
     """
     cfg = cfg or FeatureConfig()
-    if any(seq.stage != SUBTRACTED for seq in sequences):
-        raise ValueError("features require a background-subtracted sequence")
-    lengths = sorted({len(seq) for seq in sequences})
+    lengths = sorted({len(pixels) for pixels in sequences})
     if len(lengths) != 1:
         raise ValueError(f"sequences of one batch need equal frame counts, got frames {lengths}")
     if lengths[0] < cfg.temporal_k:
         raise ValueError(f"temporal_k ({cfg.temporal_k}) exceeds {lengths[0]} frames")
-    stack = np.stack([seq.pixels for seq in sequences])  # (N, F, 64)
+    stack = np.stack(sequences)  # (N, F, 64)
+    if stack.shape[2:] != (PIXEL_COUNT,):
+        raise ValueError(f"frames need {PIXEL_COUNT} pixels, got shape {stack.shape[1:]}")
     n = len(stack)
 
     # (N, k, 64) coefficients -> per-pixel rows -> pixel-major flat layout.
@@ -92,8 +92,8 @@ def feature_matrix(
     return np.hstack([temporal, spatial.reshape(n, -1)])
 
 
-def extract_features(seq: ThermalSequence, cfg: FeatureConfig | None = None) -> np.ndarray:
-    """The read-only feature vector of one sequence: its `feature_matrix` row."""
-    row = feature_matrix([seq], cfg)[0]
+def extract_features(pixels: np.ndarray, cfg: FeatureConfig | None = None) -> np.ndarray:
+    """The read-only feature vector of one (F, 64) frame array: its `feature_matrix` row."""
+    row = feature_matrix([pixels], cfg)[0]
     row.flags.writeable = False
     return row

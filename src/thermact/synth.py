@@ -10,8 +10,8 @@ activity scripts mirror the overhead fall/ADL label schema:
   deliberately overlap, so these two stay the hardest pair to tell apart;
 * sit_to_stand / stand_to_sit: opposite slow ramps between the two still
   poses, distinguishable by the time order of frame-wise spatial features;
-* the two walks: exact left-right mirror paths. Because the feature stage
-  keeps only transform magnitudes, a constant-speed constant-heat walk and
+* the two walks: exact left-right mirror paths. Because the features
+  keep only transform magnitudes, a constant-speed constant-heat walk and
   its mirror would be mathematically identical; the scripts therefore walk
   with a gentle accelerating gait and warm slightly along the way, which is
   direction-revealing while keeping the mirror symmetry exact.
@@ -32,7 +32,6 @@ from .core import (
     GRID_SIZE,
     MIN_ACTIVITY_FRAMES,
     PIXEL_COUNT,
-    RAW,
     TEMP_MAX_C,
     TEMP_MIN_C,
     BackgroundEntry,
@@ -207,7 +206,7 @@ def render_sequence(
     """Render a script into a raw sequence."""
     values, _ = render_frames(scene, script, seed)
     times = frame_times(scene, script)
-    return ThermalSequence(pixels=values, timestamps_ms=np.round(1000.0 * times), stage=RAW)
+    return ThermalSequence(pixels=values, timestamps_ms=np.round(1000.0 * times))
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +400,17 @@ def generate_corpus(
     children = root_ss.spawn(subjects + 1)
     clamped = 0
 
-    bg_rng = np.random.default_rng(children[0])
-    bg_values, c = render_frames(scene, empty_scene_script(), bg_rng)
-    clamped += c
-    bg_stamps = np.round(1000.0 * np.arange(len(bg_values)) / scene.frame_rate_hz)
-    write_sequence(
-        ThermalSequence(pixels=bg_values, timestamps_ms=bg_stamps), out / "background.csv"
-    )
+    def write(name: str, script: ActivityScript, rng: np.random.Generator, min_frames: int):
+        """Render `script` and write it to `name`; count its clamped values."""
+        nonlocal clamped
+        values, c = render_frames(scene, script, rng)
+        clamped += c
+        if len(values) < min_frames:
+            raise ValueError(f"{name}: has {len(values)} frames, needs at least {min_frames}")
+        stamps = np.round(1000.0 * frame_times(scene, script))
+        write_sequence(ThermalSequence(pixels=values, timestamps_ms=stamps), out / name)
+
+    write("background.csv", empty_scene_script(), np.random.default_rng(children[0]), 1)
 
     entries = []
     for si in range(1, subjects + 1):
@@ -422,15 +425,8 @@ def generate_corpus(
                 rng = np.random.default_rng(subj_children[inst])
                 inst += 1
                 script = builtin_scripts(rng, profile)[label]
-                values, c = render_frames(scene, script, rng)
-                clamped += c
                 name = f"{session_id}_{label}.csv"
-                if len(values) < MIN_ACTIVITY_FRAMES:
-                    raise ValueError(
-                        f"{name}: has {len(values)} frames, needs at least {MIN_ACTIVITY_FRAMES}"
-                    )
-                stamps = np.round(1000.0 * frame_times(scene, script))
-                write_sequence(ThermalSequence(pixels=values, timestamps_ms=stamps), out / name)
+                write(name, script, rng, MIN_ACTIVITY_FRAMES)
                 entries.append(
                     ManifestEntry(path=name, label=label, subject_id=subject_id, session_id=session_id)
                 )

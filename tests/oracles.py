@@ -38,14 +38,13 @@ def naive_dct2(grid):
     return out
 
 
-def features_one_sequence(seq, cfg):
+def features_one_sequence(matrix, cfg):
     """One sequence's feature vector, computed from its own (F, 64) pixels.
 
     The per-sequence path the batched `feature_matrix` replaced: a 2-D
     matrix product for the temporal block and a one-sequence einsum for the
     spatial block, concatenated.
     """
-    matrix = seq.pixels
     temporal = np.abs(dct_matrix(len(matrix))[: cfg.temporal_k] @ matrix).T.reshape(-1)
     grid_basis = dct_matrix(8)
     coeffs = np.einsum("ur,frc,vc->fuv", grid_basis, matrix.reshape(-1, 8, 8), grid_basis)

@@ -24,7 +24,6 @@ from thermact.evaluate import (
     stratified_kfold_split,
 )
 from thermact.features import FeatureConfig, dct_matrix, extract_features
-from thermact.core import ThermalSequence
 from thermact.synth import generate_corpus
 from toy_data import toy_clusters
 
@@ -78,14 +77,11 @@ def test_criterion_2_feature_contract():
     cfg = FeatureConfig()
     matrix = rng.normal(0.0, 1.0, (20, 64))
 
-    def as_seq(m):
-        return ThermalSequence(pixels=m, stage="subtracted")
-
-    vec = extract_features(as_seq(matrix), cfg)
+    vec = extract_features(matrix, cfg)
     assert len(vec) == 500
     assert vec[:320].size == 320 and vec[320:].size == 180
 
-    shifted = extract_features(as_seq(matrix + 3.7), cfg)
+    shifted = extract_features(matrix + 3.7, cfg)
     non_dc_t = np.ones((64, 5), dtype=bool)
     non_dc_t[:, 0] = False
     non_dc_s = np.ones((20, 3, 3), dtype=bool)
@@ -97,7 +93,7 @@ def test_criterion_2_feature_contract():
     assert drift < 1e-9
 
     for alpha in (-2.5, 0.3, 4.0):
-        scaled = extract_features(as_seq(alpha * matrix), cfg)
+        scaled = extract_features(alpha * matrix, cfg)
         assert np.abs(scaled - abs(alpha) * vec).max() < 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0

@@ -501,6 +501,16 @@ class TestPredict:
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.zeros(X.shape[1] + 1))
 
+    @pytest.mark.parametrize("shape", [(), (2, 3, 40), (1, 1, 40)])
+    def test_decision_scores_refuses_other_shapes(self, clusters, shape):
+        # Only a (D,) row or an (N, D) matrix is scored: a 0-d input once
+        # raised IndexError, and a 3-D input was scored as its rows.
+        X, labels = clusters
+        model = train(X, labels)
+        assert model.dimension == 40
+        with pytest.raises(ValueError, match=re.escape(f"(N, D) matrix, got {shape}")):
+            model.decision_scores(np.ones(shape))
+
 
 class TestInvariants:
     def test_argmax_invariant_under_uniform_scaling(self, clusters, rng):
@@ -586,6 +596,9 @@ class TestPersistence:
             (lambda d: d["scaler_mean"].__setitem__(0, float("nan")), "non-finite"),
             (lambda d: d["classes"].__setitem__(1, d["classes"][0]), "distinct"),
             (lambda d: d.update(scaler_std=d["scaler_std"][:1]), "dimensions"),
+            (lambda d: d["biases"].append(0.0), "inconsistent model dimensions"),
+            (lambda d: d.update(version=None), "unsupported model version None"),
+            (lambda d: d["classes"].__setitem__(1, 7), "distinct strings"),
         ],
     )
     def test_malformed_model_rejected(self, clusters, tmp_path, doctor, message):

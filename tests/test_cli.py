@@ -1,6 +1,8 @@
 import csv
 import filecmp
+import hashlib
 import json
+import re
 import shutil
 import warnings
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 from thermact.cli import main
-from thermact.core import load_manifest
+from thermact.core import ThermactError, load_manifest
+from thermact.evaluate import prepare_features
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +157,21 @@ class TestEvaluate:
             == 1
         )
         assert "sequence_len" in capsys.readouterr().err
+
+    def test_no_background_for_a_session(self, tiny_corpus_dir, tmp_path, capsys):
+        # The only background clip belongs to another session, and there is
+        # no global ("") clip to fall back on.
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (bg,) = [entry for entry in manifest["entries"] if entry.get("role") == "background"]
+        bg["session"] = "elsewhere"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        message = "no background clip for session 's01r1' and no global fallback"
+        with pytest.raises(ThermactError, match=re.escape(message)):
+            prepare_features(load_manifest(data / "manifest.json"))
+        assert main(["evaluate", "--data", str(data / "manifest.json")]) == 1
+        assert one_error_line(capsys, message) == ""
 
 
 def recount(report):
@@ -461,6 +479,13 @@ class TestFeaturize:
         first = lines[1].split(",")
         assert first[0] in {e.label for e in load_manifest(corpus_dir / "manifest.json").entries}
         assert len(first) == 2 + 500
+
+    def test_golden_stdout_digest(self, tiny_corpus_dir, capsys):
+        # Pins the subtract, resample and DCT chain bit for bit: every value
+        # is written as its repr.
+        assert main(["featurize", "--data", str(tiny_corpus_dir / "manifest.json")]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "55a2ef7ee8b08ad3e4cae4b59860f64d75beb399560b55001e98a48d5cd3a175"
 
     def test_ids_with_commas_and_quotes(self, corpus_dir, tmp_path):
         data = tmp_path / "data"

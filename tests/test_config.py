@@ -1,6 +1,6 @@
 import json
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -13,7 +13,7 @@ from thermact.config import (
     apply_overrides,
     config_from_dict,
 )
-from thermact.core import ConfigError
+from thermact.core import ConfigError, from_json
 from thermact.features import FeatureConfig
 from thermact.synth import SceneParams
 
@@ -89,6 +89,26 @@ def test_values_pass_through_unchanged():
 def test_malformed_values_name_where_and_key(data, message):
     with pytest.raises(ConfigError, match=f"^here: {message}"):
         config_from_dict(data, "here")
+
+
+@dataclass(frozen=True)
+class Reading:
+    value: float = 0.0
+
+
+@pytest.mark.parametrize(
+    "value", [0, -3, 2.5, sys.float_info.max, -sys.float_info.max, 10**308, -(10**308)]
+)
+def test_finite_numbers_read(value):
+    assert from_json(Reading, {"value": value}, "here").value == value
+
+
+@pytest.mark.parametrize(
+    "value", [float("inf"), float("-inf"), float("nan"), 10**309, -(10**309), True, False]
+)
+def test_other_values_are_not_finite_numbers(value):
+    with pytest.raises(ConfigError, match="here: value must be a finite number"):
+        from_json(Reading, {"value": value}, "here")
 
 
 def test_largest_finite_number_is_a_finite_number():

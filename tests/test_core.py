@@ -23,7 +23,7 @@ from thermact.core import (
     write_manifest,
     write_sequence,
 )
-from thermact.preprocess import estimate_background, subtract_background
+from thermact.preprocess import subtract_background
 from thermact.synth import SceneParams, builtin_scripts, render_sequence
 from oracles import serialize_per_value
 
@@ -40,12 +40,20 @@ class TestThermalFrame:
     def test_requires_64_pixels(self):
         with pytest.raises(ValueError, match="64"):
             ThermalSequence(pixels=np.zeros((1, 63)))
+        with pytest.raises(ValueError, match="needs 64 pixels per frame, got shape \\(1, 65\\)"):
+            ThermalSequence(pixels=np.full((1, 65), 20.0))
 
     def test_rejects_non_finite(self):
         px = np.zeros((1, 64))
         px[0, 5] = np.nan
         with pytest.raises(ValueError, match="frame 0: non-finite"):
             ThermalSequence(pixels=px)
+        # An infinity is non-finite, not merely out of range.
+        for value in (np.inf, -np.inf):
+            px = np.full((1, 64), 20.0)
+            px[0, 7] = value
+            with pytest.raises(ValueError, match="frame 0: non-finite pixel value"):
+                ThermalSequence(pixels=px)
 
     def test_rejects_negative_timestamp(self):
         with pytest.raises(ValueError, match="frame 0: timestamp"):
@@ -68,10 +76,21 @@ class TestThermalSequence:
     def test_raw_range_enforced(self):
         with pytest.raises(ValueError, match="frame 1: raw temperature"):
             constant_sequence(20.0, 100.0)
+        # The edges of [0, 80] are in range; the next double beyond is not.
+        assert np.array_equal(constant_sequence(0.0, 80.0).pixels[:, 0], [0.0, 80.0])
+        for value in (np.nextafter(0.0, -1.0), np.nextafter(80.0, 81.0), -0.25, 80.25):
+            with pytest.raises(ValueError, match="frame 0: raw temperature outside"):
+                constant_sequence(value)
 
     def test_subtracted_may_be_negative(self):
-        seq = constant_sequence(-3.0, stage="subtracted")
-        assert len(seq) == 1
+        # The range rule is the sensor's: frames with a background subtracted
+        # are a plain array, and may go below zero.
+        sub = subtract_background(constant_sequence(20.0), np.full(64, 23.0))
+        assert sub.shape == (1, 64) and np.all(sub == -3.0)
+
+    def test_one_timestamp_per_frame(self):
+        with pytest.raises(ValueError, match="needs one timestamp per frame, got shape \\(3,\\)"):
+            constant_sequence(20.0, 21.0, timestamps_ms=[0, 1, 2])
 
     def test_needs_a_frame(self):
         with pytest.raises(ValueError):
@@ -87,6 +106,8 @@ class TestThermalSequence:
     def test_decreasing_timestamp_rejected(self):
         with pytest.raises(ValueError, match="frame 2: timestamp 3"):
             constant_sequence(20.0, 20.0, 20.0, timestamps_ms=[0, 5, 3])
+        with pytest.raises(ValueError, match="frame 2: timestamp 4 is earlier than the previous frame's 5"):
+            constant_sequence(20.0, 20.0, 20.0, timestamps_ms=[0, 5, 4])
 
     def test_input_arrays_are_copied(self):
         pixels = np.full((2, 64), 20.0)
@@ -250,18 +271,6 @@ class TestRoundTrip:
         assert (row[1 + 3], row[1 + 40]) == ("-0.0", "0.0")
         parsed = parse_sequence(text).pixels[0]
         assert np.signbit(parsed[3]) and not np.signbit(parsed[40])
-
-    def test_subtracted_sequence_refused(self, tmp_path):
-        # The format carries no stage: read back, a subtracted sequence would
-        # be raw, and subtracting the background again would go unnoticed.
-        background = estimate_background(constant_sequence(20.0))
-        sub = subtract_background(constant_sequence(25.0), background)
-        assert sub.stage == "subtracted"
-        with pytest.raises(ValueError, match="only raw sequences"):
-            serialize_sequence(sub)
-        with pytest.raises(ValueError, match="only raw sequences"):
-            write_sequence(sub, tmp_path / "sub.csv")
-        assert not (tmp_path / "sub.csv").exists()
 
 
 def _write_corpus(tmp_path, n_subjects=8, n_sessions=3, labels=ADL7_LABELS):

@@ -131,10 +131,30 @@ class TestStratifiedKfold:
         folds = stratified_kfold_split(manifest, k=10, seed=42)
         assert [len(test) for _, test in folds] == [15, 16, 17, 18, 18, 18, 18, 17, 16, 15]
 
+    def test_seed_shuffles_each_class(self):
+        # Dealt in manifest order, a class's members would land in the same
+        # folds for every seed.
+        manifest = manifest_of(["a", "b"] * 20, ["s"] * 40, label_set=["a", "b"])
+        tests = {
+            seed: [te.tolist() for _, te in stratified_kfold_split(manifest, k=4, seed=seed)]
+            for seed in range(5)
+        }
+        assert len({str(t) for t in tests.values()}) == 5
+
+    def test_class_without_members_allowed(self):
+        manifest = manifest_of(["a", "b"] * 6, ["s"] * 12, label_set=["a", "b", "unused"])
+        folds = stratified_kfold_split(manifest, k=3)
+        assert_disjoint_exhaustive(manifest, folds)
+
     def test_deficient_class_named(self):
         manifest = manifest_of(["a"] * 10 + ["b"] * 2, ["s"] * 12, label_set=["a", "b"])
         with pytest.raises(ValueError, match="'b'"):
             stratified_kfold_split(manifest, k=5)
+        # One member short of k is too few; k members are enough.
+        manifest = manifest_of(["a"] * 10 + ["b"] * 4, ["s"] * 14, label_set=["a", "b"])
+        with pytest.raises(ValueError, match="class 'b' has only 4 example"):
+            stratified_kfold_split(manifest, k=5)
+        assert len(stratified_kfold_split(manifest, k=4)) == 4
 
     def test_k_too_small(self):
         manifest = manifest_of(["a", "b"], ["s", "s"], label_set=["a", "b"])

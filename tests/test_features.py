@@ -17,21 +17,17 @@ from thermact.synth import generate_corpus
 from oracles import features_one_sequence, naive_dct, naive_dct2
 
 
-def subtracted_sequence(matrix):
-    return ThermalSequence(pixels=matrix, stage="subtracted")
-
-
 def temporal_block(series, k):
     """`feature_matrix`'s temporal block for one pixel; every pixel carries `series`."""
     series = np.asarray(series, dtype=float)
-    seq = subtracted_sequence(np.repeat(series[:, None], 64, axis=1))
+    seq = np.repeat(series[:, None], 64, axis=1)
     cfg = FeatureConfig(temporal_k=k, spatial_block=1)
     return feature_matrix([seq], cfg)[0, :k]
 
 
 def spatial_block(grid, b):
     """`feature_matrix`'s spatial block of a one-frame sequence holding `grid`."""
-    seq = subtracted_sequence(np.asarray(grid, dtype=float).reshape(1, 64))
+    seq = np.asarray(grid, dtype=float).reshape(1, 64)
     cfg = FeatureConfig(temporal_k=1, spatial_block=b)
     return feature_matrix([seq], cfg)[0, 64:]
 
@@ -120,7 +116,7 @@ class TestSpatialFeature:
 
 class TestExtractFeatures:
     def test_zero_sequence_default_length(self):
-        seq = subtracted_sequence(np.zeros((20, 64)))
+        seq = np.zeros((20, 64))
         vec = extract_features(seq, FeatureConfig())
         assert vec.shape == (320 + 9 * 20,) == (500,)
         assert np.all(vec == 0.0)
@@ -128,7 +124,7 @@ class TestExtractFeatures:
 
     def test_constant_in_time_hits_dc_slots_only(self, rng):
         row = rng.normal(0, 1, 64)
-        seq = subtracted_sequence(np.tile(row, (20, 1)))
+        seq = np.tile(row, (20, 1))
         vec = extract_features(seq, FeatureConfig())
         temporal = vec[:320].reshape(64, 5)
         assert np.allclose(temporal[:, 0], np.abs(row) * np.sqrt(20), atol=1e-9)
@@ -136,8 +132,7 @@ class TestExtractFeatures:
 
     def test_composed_oracle(self, rng):
         matrix = rng.normal(0, 1.5, (20, 64))
-        seq = subtracted_sequence(matrix)
-        vec = extract_features(seq, FeatureConfig(temporal_k=5, spatial_block=3))
+        vec = extract_features(matrix, FeatureConfig(temporal_k=5, spatial_block=3))
         expected_temporal = []
         for pixel in range(64):
             expected_temporal.extend(np.abs(naive_dct(matrix[:, pixel]))[:5])
@@ -148,25 +143,22 @@ class TestExtractFeatures:
         assert np.allclose(vec[320:], expected_spatial, atol=1e-9)
 
     def test_wrong_length_rejected(self):
-        seq = subtracted_sequence(np.zeros((4, 64)))
+        seq = np.zeros((4, 64))
         with pytest.raises(ValueError, match="temporal_k"):
             extract_features(seq, FeatureConfig(temporal_k=5))
 
-    def test_raw_input_rejected(self):
-        seq = ThermalSequence(pixels=np.full((20, 64), 20.0))
-        with pytest.raises(ValueError, match="subtracted"):
-            extract_features(seq, FeatureConfig())
-
     def test_feature_matrix_stacks(self, rng):
-        seqs = [subtracted_sequence(rng.normal(0, 1, (20, 64))) for _ in range(3)]
+        seqs = [rng.normal(0, 1, (20, 64)) for _ in range(3)]
         X = feature_matrix(seqs)
         assert X.shape == (3, 500)
         assert np.array_equal(X[1], extract_features(seqs[1]))
 
     def test_feature_matrix_rejects_any_bad_sequence(self, rng):
-        seqs = [subtracted_sequence(rng.normal(0, 1, (20, 64))) for _ in range(2)]
+        seqs = [rng.normal(0, 1, (20, 64)) for _ in range(2)]
         with pytest.raises(ValueError, match="frames"):
-            feature_matrix(seqs + [subtracted_sequence(np.zeros((10, 64)))])
+            feature_matrix(seqs + [np.zeros((10, 64))])
+        with pytest.raises(ValueError, match="frames need 64 pixels"):
+            feature_matrix([np.zeros((20, 63))])
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +201,7 @@ class TestBatchedPathMatchesOracle:
     def test_random_subtracted_sequences(self, seed, n, length, k, b, scale):
         cfg = FeatureConfig(temporal_k=min(k, length), spatial_block=b)
         rng = np.random.default_rng(seed)
-        seqs = [subtracted_sequence(rng.normal(0, scale, (length, 64))) for _ in range(n)]
+        seqs = [rng.normal(0, scale, (length, 64)) for _ in range(n)]
         X = feature_matrix(seqs, cfg)
         assert X.shape == (n, 64 * cfg.temporal_k + b * b * length)
         for row, seq in zip(X, seqs):
@@ -233,8 +225,8 @@ class TestInvariants:
     def test_constant_offset_changes_only_dc_entries(self, rng):
         matrix = rng.normal(0, 1, (20, 64))
         cfg = FeatureConfig()
-        base = extract_features(subtracted_sequence(matrix), cfg)
-        shifted = extract_features(subtracted_sequence(matrix + 4.2), cfg)
+        base = extract_features(matrix, cfg)
+        shifted = extract_features(matrix + 4.2, cfg)
         temporal_non_dc = np.ones((64, 5), dtype=bool)
         temporal_non_dc[:, 0] = False
         drift_t = np.abs(
@@ -256,8 +248,8 @@ class TestInvariants:
         rng = np.random.default_rng(99)
         matrix = rng.normal(0, 1, (20, 64))
         cfg = FeatureConfig()
-        base = extract_features(subtracted_sequence(matrix), cfg)
-        scaled = extract_features(subtracted_sequence(alpha * matrix), cfg)
+        base = extract_features(matrix, cfg)
+        scaled = extract_features(alpha * matrix, cfg)
         assert np.abs(scaled - abs(alpha) * base).max() < 1e-9
 
     def test_matrix_equals_naive_sampled_sizes(self, rng):

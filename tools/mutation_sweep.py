@@ -1,0 +1,227 @@
+"""A mutation sweep: one-line changes to the validators that the tests should notice.
+
+Each mutant is one exact string edit in one source file under src/thermact.
+The sweep copies src/ and tests/ to a temporary directory, applies one
+mutant at a time there (the checkout is never edited), runs the tests that
+belong to the touched module with `-x`, and puts the file back. A mutant
+survives when those tests still pass; a survivor is a rule no test checks.
+
+Usage, from the repository root (standard library only, besides what the
+tests themselves import):
+
+    python tools/mutation_sweep.py              # every mutant
+    python tools/mutation_sweep.py --list       # the mutant names
+    python tools/mutation_sweep.py core.number_max evaluate.kfold_rotation
+
+Exit status: 0 if every mutant was killed, 1 if any survived, 2 if a mutant
+no longer matches its source (the code moved on; update the mutant) or the
+unmutated tests fail.
+Each mutant costs one test run of its module, about 1 to 15 s.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The tests that check each module. core's JSON number rule is tested through
+# config, and core and classifier read files, which test_fuzz.py exercises.
+TESTS = {
+    "core": ("tests/test_core.py", "tests/test_config.py", "tests/test_fuzz.py"),
+    "classifier": ("tests/test_classifier.py", "tests/test_fuzz.py"),
+    "preprocess": ("tests/test_preprocess.py",),
+    "evaluate": ("tests/test_evaluate.py",),
+}
+
+# A mutant whose tests run longer than this is counted as killed (it hangs).
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str  # "<module>.<what changes>"
+    old: str  # must occur exactly once in src/thermact/<module>.py
+    new: str
+
+    @property
+    def module(self) -> str:
+        return self.name.split(".", 1)[0]
+
+
+MUTANTS = (
+    # core._first_bad_frame: one mutant per validity rule.
+    Mutant(
+        "core.pixels_per_frame", "pixels.shape[1] != PIXEL_COUNT", "pixels.shape[1] < PIXEL_COUNT"
+    ),
+    Mutant(
+        "core.one_stamp_per_frame",
+        "timestamps.shape != (len(pixels),)",
+        "len(timestamps) < len(pixels)",
+    ),
+    Mutant("core.stamp_non_negative", "(timestamps >= 0)", "(timestamps >= -1)"),
+    Mutant("core.stamp_below_2_63", "timestamps < 2.0**63", "timestamps <= 2.0**63"),
+    Mutant(
+        "core.stamp_integer",
+        "(timestamps < 2.0**63) & (timestamps == np.floor(timestamps))",
+        "(timestamps < 2.0**63)",
+    ),
+    Mutant(
+        "core.stamp_order",
+        "timestamps[1:] < timestamps[:-1]",
+        "timestamps[1:] < timestamps[:-1] - 1",
+    ),
+    Mutant(
+        "core.finite_pixels", "~np.isfinite(pixels).all(axis=1)", "np.isnan(pixels).any(axis=1)"
+    ),
+    Mutant("core.range_low", "(pixels < TEMP_MIN_C)", "(pixels < TEMP_MIN_C - 0.5)"),
+    Mutant("core.range_high", "(pixels > TEMP_MAX_C)", "(pixels > TEMP_MAX_C + 0.5)"),
+    Mutant("core.first_bad_row_wins", "i, k = min(broken)", "i, k = max(broken)"),
+    # core._number: a finite JSON number, not a bool.
+    Mutant("core.number_max", "abs(v) <= sys.float_info.max", "abs(v) < sys.float_info.max"),
+    Mutant("core.number_abs", "abs(v) <= sys.float_info.max", "v <= sys.float_info.max"),
+    Mutant(
+        "core.number_not_bool",
+        "isinstance(v, (int, float)) and not isinstance(v, bool) and",
+        "isinstance(v, (int, float)) and",
+    ),
+    # classifier.load_model: every check on a model file.
+    Mutant(
+        "classifier.model_version",
+        'if data["version"] != MODEL_FORMAT_VERSION:',
+        'if data["version"] not in (MODEL_FORMAT_VERSION, None):',
+    ),
+    Mutant(
+        "classifier.model_config_object",
+        "if not isinstance(config, dict):",
+        "if not isinstance(config, (dict, list)):",
+    ),
+    Mutant("classifier.model_bias_shape", "or biases.shape != (len(classes),)", ""),
+    Mutant("classifier.model_std_shape", "or std.shape != (dim,)", ""),
+    Mutant(
+        "classifier.model_finite",
+        "np.isfinite(arr).all() for arr in (weights, biases, mean, std)",
+        "np.isfinite(arr).all() for arr in (weights, biases, mean)",
+    ),
+    Mutant("classifier.model_std_floor", "(std < STD_FLOOR).any()", "(std <= 0).any()"),
+    Mutant(
+        "classifier.model_class_strings",
+        "if not all(isinstance(c, str) for c in classes) or",
+        "if",
+    ),
+    Mutant(
+        "classifier.model_distinct_classes",
+        "or len(set(classes)) != len(classes)",
+        "",
+    ),
+    # preprocess.resample_indices: the index formula and its guards.
+    Mutant("preprocess.half_up", "np.floor(exact + 0.5)", "np.round(exact)"),
+    Mutant(
+        "preprocess.endpoints",
+        "exact = j * (length - 1) / (target_len - 1)",
+        "exact = j * length / target_len",
+    ),
+    Mutant("preprocess.length_guard", "if length < 1:", "if length < 0:"),
+    Mutant("preprocess.target_guard", "if target_len < 1:", "if target_len < 0:"),
+    # evaluate: the two splitters.
+    Mutant("evaluate.loso_two_subjects", "if len(subjects) < 2:", "if len(subjects) < 1:"),
+    Mutant(
+        "evaluate.loso_test_is_the_subject",
+        "train = all_idx[by_subject != subject]",
+        "train = all_idx",
+    ),
+    Mutant("evaluate.kfold_k", "if k < 2:", "if k < 1:"),
+    Mutant("evaluate.kfold_rotation", "fold_of[idx] = (pos + ci) % k", "fold_of[idx] = pos % k"),
+    Mutant("evaluate.kfold_shuffle", "shuffled = rng.permutation(members)", "shuffled = members"),
+    Mutant(
+        "evaluate.kfold_absent_class",
+        "if members.size and members.size < k:",
+        "if members.size < k:",
+    ),
+    Mutant(
+        "evaluate.kfold_deficient_class",
+        "if members.size and members.size < k:",
+        "if members.size and members.size < k - 1:",
+    ),
+)
+
+
+def run_tests(work: Path, files: tuple[str, ...]) -> tuple[bool, float]:
+    """(whether the tests passed, seconds) for `files`, run in `work`."""
+    # No bytecode cache: a same-size mutant written within the second of the
+    # cached original's timestamp would otherwise run as the original.
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), HYPOTHESIS_PROFILE="ci")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    cmd += ["-W", "error::RuntimeWarning", *files]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, time.perf_counter() - start
+    return done.returncode == 0, time.perf_counter() - start
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    args = parser.parse_args(argv)
+    if args.list:
+        print("\n".join(m.name for m in MUTANTS))
+        return 0
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+
+    with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        stale = []
+        for m in chosen:
+            text = (work / "src" / "thermact" / f"{m.module}.py").read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                stale.append(f"{m.name}: {m.old!r} occurs {text.count(m.old)} times")
+        if stale:
+            print("stale mutants:\n  " + "\n  ".join(stale), file=sys.stderr)
+            return 2
+        modules = sorted({m.module for m in chosen})
+        for module in modules:
+            passed, _ = run_tests(work, TESTS[module])
+            if not passed:
+                print(f"the unmutated {module} tests fail; fix them first", file=sys.stderr)
+                return 2
+
+        survivors = []
+        for m in chosen:
+            path = work / "src" / "thermact" / f"{m.module}.py"
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            try:
+                passed, seconds = run_tests(work, TESTS[m.module])
+            finally:
+                path.write_text(original, encoding="utf-8")
+            verdict = "SURVIVED" if passed else "killed  "
+            print(f"{verdict}  {m.name}  ({seconds:.1f} s)", flush=True)
+            if passed:
+                survivors.append(m)
+
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    for m in survivors:
+        print(f"survivor {m.name}: {m.old!r} -> {m.new!r}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
