@@ -38,14 +38,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import reprlib
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ThermactError, from_json
+from .config import PipelineConfig, SvmConfig
+from .core import ConfigError, ThermactError, _number, from_json
 
 MODEL_FORMAT_VERSION = 1
+ARRAY_KEYS = ("weights", "biases", "scaler_mean", "scaler_std")  # a model file's number arrays
 
 # Dimensions with (population) std below this are treated as constant and
 # pass through centered rather than dividing by ~0.
@@ -54,24 +57,6 @@ STD_FLOOR = 1e-8
 
 class ModelFormatError(ThermactError):
     """A model file is corrupt or has an unsupported version."""
-
-
-@dataclass(frozen=True)
-class SvmConfig:
-    regularization_c: float = 1.0
-    max_epochs: int = 200
-    tolerance: float = 1e-4
-    seed: int = 42
-
-    def __post_init__(self):
-        if not self.regularization_c > 0:
-            raise ValueError("regularization_c must be positive")
-        if not self.max_epochs >= 1:
-            raise ValueError("max_epochs must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,12 +332,11 @@ def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
     return labels, scores
 
 
-def save_model(model: SvmModel, path: str | Path, config: dict | None = None) -> None:
+def save_model(model: SvmModel, path: str | Path, config: PipelineConfig | None = None) -> None:
     """Write a model as versioned JSON at full float precision.
 
-    `config` replaces the embedded configuration block; it must contain an
-    "svm" section if given (the CLI stores the whole pipeline configuration
-    here so prediction can reproduce preprocessing).
+    `config` is the embedded pipeline config, so prediction can reproduce
+    preprocessing (default: the default pipeline with the model's SVM settings).
     """
     payload = {
         "version": MODEL_FORMAT_VERSION,
@@ -361,7 +345,7 @@ def save_model(model: SvmModel, path: str | Path, config: dict | None = None) ->
         "biases": list(model.biases),
         "scaler_mean": list(model.scaler_mean),
         "scaler_std": list(model.scaler_std),
-        "config": config if config is not None else {"svm": asdict(model.train_config)},
+        "config": (config or PipelineConfig(svm=model.train_config)).to_dict(),
     }
     try:
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
@@ -369,8 +353,8 @@ def save_model(model: SvmModel, path: str | Path, config: dict | None = None) ->
         raise ThermactError(f"cannot write model to {path}: {exc}") from exc
 
 
-def load_model(path: str | Path) -> tuple[SvmModel, dict]:
-    """Read a model file back; returns the model and its embedded config."""
+def load_model(path: str | Path) -> tuple[SvmModel, PipelineConfig]:
+    """Read a model file back: the model, and its `config` block read as a config file is."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -380,23 +364,30 @@ def load_model(path: str | Path) -> tuple[SvmModel, dict]:
         raise ModelFormatError(f"{path} is not a valid model file: {exc}") from exc
     if not isinstance(data, dict) or "version" not in data:
         raise ModelFormatError(f"{path} is not a valid model file (no version field)")
-    if data["version"] != MODEL_FORMAT_VERSION:
+    version = data["version"]
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
-            f"{path}: unsupported model version {data['version']!r} "
-            f"(expected {MODEL_FORMAT_VERSION})"
+            f"{path}: unsupported model version {version!r} (expected {MODEL_FORMAT_VERSION})"
         )
-    config = data.get("config", {})
-    if not isinstance(config, dict):
-        raise ModelFormatError(f"{path}: 'config' must be a JSON object")
     try:
-        svm_cfg = from_json(SvmConfig, config.get("svm", {}), "config.svm")
-        weights = np.array(data["weights"], dtype=np.float64)
-        biases = np.array(data["biases"], dtype=np.float64)
-        mean = np.array(data["scaler_mean"], dtype=np.float64)
-        std = np.array(data["scaler_std"], dtype=np.float64)
-        classes = tuple(data["classes"])
-    except (KeyError, TypeError, ValueError) as exc:
+        config = from_json(PipelineConfig, data.get("config", {}), f"{path}: config")
+        classes = data["classes"]
+        arrays = [np.array(data[key], dtype=object) for key in ARRAY_KEYS]
+    except ConfigError as exc:
+        raise ModelFormatError(str(exc)) from None
+    except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
+    if (
+        not isinstance(classes, list)
+        or not all(isinstance(c, str) for c in classes)
+        or len(set(classes)) != len(classes)
+    ):
+        raise ModelFormatError(f"{path}: classes must be a list of distinct strings")
+    bad = [(key, v) for key, arr in zip(ARRAY_KEYS, arrays) for v in arr.ravel() if not _number(v)]
+    if bad:
+        key, got = bad[0][0], reprlib.repr(bad[0][1])
+        raise ModelFormatError(f"{path}: {key} holds a non-finite or non-numeric value {got}")
+    weights, biases, mean, std = (arr.astype(np.float64) for arr in arrays)
     dim = mean.size
     if (
         weights.shape != (len(classes), dim)
@@ -405,20 +396,16 @@ def load_model(path: str | Path) -> tuple[SvmModel, dict]:
         or std.shape != (dim,)
     ):
         raise ModelFormatError(f"{path}: inconsistent model dimensions")
-    if not all(np.isfinite(arr).all() for arr in (weights, biases, mean, std)):
-        raise ModelFormatError(f"{path}: non-finite weights, biases or scaler values")
     if (std < STD_FLOOR).any():  # train writes 1.0 in place of a smaller std
         raise ModelFormatError(f"{path}: scaler_std must be at least {STD_FLOOR}")
-    if not all(isinstance(c, str) for c in classes) or len(set(classes)) != len(classes):
-        raise ModelFormatError(f"{path}: class names must be distinct strings")
     for arr in (weights, biases, mean, std):
         arr.flags.writeable = False
     model = SvmModel(
-        classes=classes,
+        classes=tuple(classes),
         weights=weights,
         biases=biases,
         scaler_mean=mean,
         scaler_std=std,
-        train_config=svm_cfg,
+        train_config=config.svm,
     )
     return model, config

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifier import RowError, load_model, predict_batch, save_model, train
-from .config import PipelineConfig, apply_overrides, config_from_dict, config_keys, load_config
+from .config import PipelineConfig, apply_overrides, config_keys
 from .core import ThermactError, from_json_file, load_manifest, read_sequence
 # loso_split stays bound here: perfbench's tracing test calls cli.loso_split.
 from .evaluate import loso_split, prepare_features, run_pipeline_cv, sequence_features
@@ -34,7 +34,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(args.config) if args.config else PipelineConfig()
+    config = from_json_file(PipelineConfig, args.config) if args.config else PipelineConfig()
     overrides = {key: getattr(args, key) for key, _ in _OVERRIDE_FLAGS if hasattr(args, key)}
     return apply_overrides(config, overrides)
 
@@ -73,7 +73,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.data)
     X, labels = prepare_features(manifest, config.preprocess.target_len, config.features)
     model = train(X, labels, config.svm, classes=manifest.label_set)
-    save_model(model, args.model, config=config.to_dict())
+    save_model(model, args.model, config)
     print(f"trained on {len(labels)} sequences ({len(model.classes)} classes) -> {args.model}")
     return 0
 
@@ -95,8 +95,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    model, embedded = load_model(args.model)
-    config = config_from_dict(embedded, f"{args.model}: config")
+    model, config = load_model(args.model)
     background = estimate_background(read_sequence(args.background))
     sequences = [read_sequence(path) for path in args.sequences]
     X = sequence_features(

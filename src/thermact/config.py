@@ -1,12 +1,12 @@
-"""Pipeline configuration: defaults, JSON loading, dotted-key overrides.
+"""Pipeline configuration: every section with its defaults and checks, and overrides.
 
-One configuration object covers the whole pipeline; the effective config is
-embedded in every model file and report so a run can be reproduced from its
-own output. Every section is read by `core.from_json`: unknown keys are
-rejected, each value must have its field's JSON type (an integer, a finite
+Every section of the one configuration object that covers the pipeline lives
+here; `features` and `classifier` import theirs from this module. The effective
+config is embedded in every model file and report so a run can be reproduced
+from its own output. Every section is read by `core.from_json`: unknown keys
+are rejected, each value must have its field's JSON type (an integer, a finite
 number or a string), and every error names the file or flag and the dotted
-key. The feature length is not a config key: it is the number of frames
-preprocessing leaves, `preprocess.target_len`.
+key. The feature length is not a config key: it is `preprocess.target_len`.
 """
 
 from __future__ import annotations
@@ -15,14 +15,11 @@ import hashlib
 import json
 import typing
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
-from .classifier import SvmConfig
-from .core import from_json, from_json_file
-from .features import FeatureConfig
-from .preprocess import DEFAULT_TARGET_LEN
+from .core import GRID_SIZE, from_json
 
 PROTOCOLS = ("loso", "kfold")
+DEFAULT_TARGET_LEN = 20  # frames per recording after resampling
 
 
 @dataclass(frozen=True)
@@ -32,6 +29,38 @@ class PreprocessSettings:
     def __post_init__(self):
         if not self.target_len >= 1:
             raise ValueError("target_len must be >= 1")
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    """How many coefficients to keep."""
+
+    temporal_k: int = 5
+    spatial_block: int = 3
+
+    def __post_init__(self):
+        if not self.temporal_k >= 1:
+            raise ValueError("temporal_k must be >= 1")
+        if not 1 <= self.spatial_block <= GRID_SIZE:
+            raise ValueError(f"spatial_block must be in [1, {GRID_SIZE}]")
+
+
+@dataclass(frozen=True)
+class SvmConfig:
+    regularization_c: float = 1.0
+    max_epochs: int = 200
+    tolerance: float = 1e-4
+    seed: int = 42
+
+    def __post_init__(self):
+        if not self.regularization_c > 0:
+            raise ValueError("regularization_c must be positive")
+        if not self.max_epochs >= 1:
+            raise ValueError("max_epochs must be >= 1")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be positive")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,15 +112,6 @@ def config_keys() -> list[tuple[str, type]]:
     return keys
 
 
-def config_from_dict(data: dict, where: str = "config") -> PipelineConfig:
-    """Build a config from nested dicts; errors name `where` and the key."""
-    return from_json(PipelineConfig, data, where)
-
-
-def load_config(path: str | Path) -> PipelineConfig:
-    return from_json_file(PipelineConfig, path)
-
-
 def apply_overrides(config: PipelineConfig, overrides: dict[str, object]) -> PipelineConfig:
     """Apply dotted-key overrides like {"features.temporal_k": 7}; None means unset."""
     data = config.to_dict()
@@ -101,4 +121,4 @@ def apply_overrides(config: PipelineConfig, overrides: dict[str, object]) -> Pip
             section, _, name = key.partition(".")
             data.setdefault(section, {})[name] = value
             flags.append(f"--{key}")
-    return config_from_dict(data, "override " + ", ".join(flags))
+    return from_json(PipelineConfig, data, "override " + ", ".join(flags))

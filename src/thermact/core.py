@@ -266,7 +266,8 @@ def parse_sequence(source: bytes | str) -> ThermalSequence:
             )
             break
         try:
-            values = list(map(float, fields))
+            plain = stripped.isascii() and "_" not in stripped  # ~60 ns: a flag and a scan
+            values = list(map(float if plain else _ascii_number, fields))
         except ValueError as exc:
             error = f"line {lineno}: non-numeric field ({exc})"
             break
@@ -285,6 +286,13 @@ def parse_sequence(source: bytes | str) -> ThermalSequence:
     if error is not None:
         raise SequenceFormatError(error)
     raise SequenceFormatError("no frame rows found (empty file)")
+
+
+def _ascii_number(field: str) -> float:
+    """`float(field)` for a plain ASCII number; float() also reads "2_5" and non-ASCII digits."""
+    if not field.strip().isascii() or "_" in field:
+        raise ValueError(f"{field.strip()!r} is not an ASCII number")
+    return float(field)
 
 
 def _lines(text):

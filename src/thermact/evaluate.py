@@ -19,15 +19,10 @@ import numpy as np
 
 from . import __version__
 from . import classifier as svm
-from .config import PipelineConfig
+from .config import DEFAULT_TARGET_LEN, FeatureConfig, PipelineConfig
 from .core import DatasetManifest, ThermactError, ThermalSequence, load_backgrounds, load_sequences
-from .features import FeatureConfig, feature_matrix
-from .preprocess import (
-    DEFAULT_TARGET_LEN,
-    estimate_background,
-    resample_equal_interval,
-    subtract_background,
-)
+from .features import feature_matrix
+from .preprocess import estimate_background, resample_equal_interval, subtract_background
 
 FALL_LABEL = "fall"
 

@@ -18,11 +18,11 @@ unit-free. `feature_matrix` computes the rows of many recordings at once;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .config import FeatureConfig
 from .core import GRID_SIZE, PIXEL_COUNT
 
 @lru_cache(maxsize=128)
@@ -41,20 +41,6 @@ def dct_matrix(n: int) -> np.ndarray:
     matrix[1:, :] *= np.sqrt(2.0 / n)
     matrix.flags.writeable = False
     return matrix
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """How many coefficients to keep."""
-
-    temporal_k: int = 5
-    spatial_block: int = 3
-
-    def __post_init__(self):
-        if not self.temporal_k >= 1:
-            raise ValueError("temporal_k must be >= 1")
-        if not 1 <= self.spatial_block <= GRID_SIZE:
-            raise ValueError(f"spatial_block must be in [1, {GRID_SIZE}]")
 
 
 def feature_matrix(

@@ -13,8 +13,6 @@ import numpy as np
 
 from .core import ThermalSequence
 
-DEFAULT_TARGET_LEN = 20
-
 
 def estimate_background(empty_scene: ThermalSequence) -> np.ndarray:
     """The read-only (64,) per-pixel mean over all frames of an empty-scene clip."""

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import re
 import warnings
@@ -22,6 +23,7 @@ from thermact.classifier import (
     save_model,
     train,
 )
+from thermact.config import PipelineConfig, PreprocessSettings
 from thermact.core import ThermactError, load_manifest
 from thermact.evaluate import loso_split, prepare_features, stratified_kfold_split
 from thermact.features import FeatureConfig
@@ -548,7 +550,7 @@ class TestPersistence:
         save_model(model, path)
         loaded, config = load_model(path)
         assert loaded.classes == model.classes
-        assert config["svm"]["seed"] == model.train_config.seed
+        assert config == PipelineConfig(svm=model.train_config)
         queries = rng.normal(0, 3, (100, X.shape[1]))
         labels_a, scores_a = predict_batch(model, queries)
         labels_b, scores_b = predict_batch(loaded, queries)
@@ -599,6 +601,21 @@ class TestPersistence:
             (lambda d: d["biases"].append(0.0), "inconsistent model dimensions"),
             (lambda d: d.update(version=None), "unsupported model version None"),
             (lambda d: d["classes"].__setitem__(1, 7), "distinct strings"),
+            # Each value must have its JSON type, not one Python converts it from.
+            (lambda d: d.update(classes="abcdefg"), "classes must be a list"),
+            (lambda d: d.update(classes=dict.fromkeys("abcdefg", 0)), "classes must be a list"),
+            (lambda d: d.update(version=2), "unsupported model version 2 "),
+            (lambda d: d.update(version=True), "unsupported model version True"),
+            (lambda d: d.update(version=1.0), "unsupported model version 1.0"),
+            (lambda d: d["biases"].__setitem__(0, str(d["biases"][0])), "biases holds a non-"),
+            (lambda d: d["scaler_mean"].__setitem__(2, "1"), "scaler_mean holds a non-"),
+            (lambda d: d["weights"][1].__setitem__(0, True), "weights holds .* True"),
+            (lambda d: d["scaler_std"].__setitem__(0, True), "scaler_std holds .* True"),
+            # Nested deeper than numpy iterates (32) or builds (64) arrays.
+            (lambda d: d.update(weights=functools.reduce(lambda v, _: [v], range(40), 1.0)),
+             "model dimensions"),
+            (lambda d: d.update(weights=functools.reduce(lambda v, _: [v], range(70), 1.0)),
+             "weights holds a non-finite or non-numeric value"),
         ],
     )
     def test_malformed_model_rejected(self, clusters, tmp_path, doctor, message):
@@ -620,7 +637,8 @@ class TestPersistence:
         X, labels = clusters
         model = train(X, labels)
         path = tmp_path / "model.json"
-        pipeline = {"svm": {"seed": 42}, "preprocess": {"target_len": 20}}
+        pipeline = PipelineConfig(svm=SvmConfig(seed=7), preprocess=PreprocessSettings(16))
         save_model(model, path, config=pipeline)
         _, config = load_model(path)
         assert config == pipeline
+        assert json.loads(path.read_text())["config"] == pipeline.to_dict()

@@ -11,7 +11,6 @@ from thermact.config import (
     PipelineConfig,
     PreprocessSettings,
     apply_overrides,
-    config_from_dict,
 )
 from thermact.core import ConfigError, from_json
 from thermact.features import FeatureConfig
@@ -39,7 +38,7 @@ def test_to_dict_and_hash_are_unchanged():
     config = PipelineConfig()
     assert json.dumps(config.to_dict()) == json.dumps(DEFAULT_DICT)
     assert config.config_hash() == "c002373ec26ffc9a"
-    assert config_from_dict(config.to_dict()) == config
+    assert from_json(PipelineConfig, config.to_dict(), "config") == config
 
 
 @pytest.mark.parametrize("section, f", every_field(), ids=lambda v: getattr(v, "name", v))
@@ -66,7 +65,7 @@ def test_values_pass_through_unchanged():
         "features": {"temporal_k": 4},
         "preprocess": {"target_len": 16},
     }
-    config = config_from_dict(data)
+    config = from_json(PipelineConfig, data, "config")
     assert type(config.svm.regularization_c) is int
     assert config.config_hash() == "29008d8271a6881d"
 
@@ -88,7 +87,7 @@ def test_values_pass_through_unchanged():
 )
 def test_malformed_values_name_where_and_key(data, message):
     with pytest.raises(ConfigError, match=f"^here: {message}"):
-        config_from_dict(data, "here")
+        from_json(PipelineConfig, data, "here")
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def test_other_values_are_not_finite_numbers(value):
 
 
 def test_largest_finite_number_is_a_finite_number():
-    config = config_from_dict({"svm": {"tolerance": sys.float_info.max}}, "here")
+    config = from_json(PipelineConfig, {"svm": {"tolerance": sys.float_info.max}}, "here")
     assert config.svm.tolerance == sys.float_info.max
 
 
@@ -129,3 +128,26 @@ def test_range_checks_refuse_nan():
     ):
         with pytest.raises(ValueError):
             make()
+
+
+@pytest.mark.parametrize(
+    "section, key, valid, invalid, message",
+    [
+        (SvmConfig, "regularization_c", 5e-324, 0.0, "regularization_c must be positive"),
+        (SvmConfig, "max_epochs", 1, 0, "max_epochs must be >= 1"),
+        (SvmConfig, "tolerance", 5e-324, 0.0, "tolerance must be positive"),
+        (SvmConfig, "seed", 0, -1, "seed must be >= 0"),
+        (FeatureConfig, "temporal_k", 1, 0, "temporal_k must be >= 1"),
+        (FeatureConfig, "spatial_block", 1, 0, r"spatial_block must be in \[1, 8\]"),
+        (FeatureConfig, "spatial_block", 8, 9, r"spatial_block must be in \[1, 8\]"),
+        (PreprocessSettings, "target_len", 1, 0, "target_len must be >= 1"),
+        (EvalSettings, "protocol", "kfold", "lodo", "protocol must be one of"),
+        (EvalSettings, "k", 2, 1, "k must be >= 2"),
+        (EvalSettings, "seed", 0, -1, "seed must be >= 0"),
+    ],
+)
+def test_range_checks_at_their_bounds(section, key, valid, invalid, message):
+    # The last valid value builds and the first invalid one is refused.
+    assert getattr(section(**{key: valid}), key) == valid
+    with pytest.raises(ValueError, match=f"^{message}"):
+        section(**{key: invalid})

@@ -205,6 +205,20 @@ class TestParseSequence:
             parse_sequence("\n".join(rows))
         assert len(parse_sequence("\n".join(rows[:4]))) == 4
 
+    @pytest.mark.parametrize("field", ["2_5", "\u0663\u0663", "\uff12\uff15"])
+    def test_fields_are_ascii_numbers(self, field):
+        # float() reads each of these as 25.0 or 33.0. The first bad line still wins.
+        good, hot = ",".join(["20.0"] * 64), ",".join(["81.0"] * 64)
+        odd = ",".join(["20.0"] * 63 + [field])
+        with pytest.raises(SequenceFormatError, match="^line 2: non-numeric field"):
+            parse_sequence("\n".join([good, odd, hot]))
+        with pytest.raises(SequenceFormatError, match="^line 1: raw temperature"):
+            parse_sequence("\n".join([hot, odd]))
+
+    def test_non_ascii_whitespace_around_a_field_is_allowed(self):
+        row = ",".join(["20.0"] * 10 + ["\x85\u00a025\u2028"] + ["20.0"] * 53)
+        assert parse_sequence(row).pixels[0, 10] == 25.0
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_line_numbers_under_each_line_ending(self, newline):
         good = ",".join(["20.0"] * 64)
@@ -387,6 +401,20 @@ class TestManifest:
         with pytest.raises(ManifestError) as excinfo:
             DatasetManifest(entries=(entry,), label_set=("fall",), backgrounds=clips)
         assert excinfo.value.violations == [f"more than one background clip for {problem}"]
+
+    def test_label_set_must_be_distinct(self):
+        entry = ManifestEntry(path="a.csv", label="fall", subject_id="s", session_id="r")
+        with pytest.raises(ManifestError) as excinfo:
+            DatasetManifest(entries=(entry,), label_set=("fall", "walk", "fall"))
+        assert excinfo.value.violations == ["label_set contains duplicates"]
+
+    def test_background_path_may_not_be_an_entry_path(self):
+        entry = ManifestEntry(path="a.csv", label="fall", subject_id="s", session_id="r")
+        with pytest.raises(ManifestError) as excinfo:
+            DatasetManifest(
+                entries=(entry,), label_set=("fall",), backgrounds=(BackgroundEntry("a.csv"),)
+            )
+        assert excinfo.value.violations == ["background 'a.csv': duplicate path"]
 
     def test_ids_must_be_strings(self, tmp_path):
         path = _write_corpus(tmp_path, n_subjects=1, n_sessions=1)

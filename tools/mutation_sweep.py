@@ -10,12 +10,13 @@ Usage, from the repository root (standard library only, besides what the
 tests themselves import):
 
     python tools/mutation_sweep.py              # every mutant
-    python tools/mutation_sweep.py --list       # the mutant names
+    python tools/mutation_sweep.py --list       # check every anchor, print the mutant names
     python tools/mutation_sweep.py core.number_max evaluate.kfold_rotation
 
 Exit status: 0 if every mutant was killed, 1 if any survived, 2 if a mutant
 no longer matches its source (the code moved on; update the mutant) or the
-unmutated tests fail.
+unmutated tests fail. `--list` checks the anchors too, so it exits 2 on a
+stale mutant and runs no tests.
 Each mutant costs one test run of its module, about 1 to 15 s.
 """
 
@@ -38,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = {
     "core": ("tests/test_core.py", "tests/test_config.py", "tests/test_fuzz.py"),
     "classifier": ("tests/test_classifier.py", "tests/test_fuzz.py"),
+    "config": ("tests/test_config.py",),
     "preprocess": ("tests/test_preprocess.py",),
     "evaluate": ("tests/test_evaluate.py",),
 }
@@ -85,6 +87,9 @@ MUTANTS = (
     Mutant("core.range_low", "(pixels < TEMP_MIN_C)", "(pixels < TEMP_MIN_C - 0.5)"),
     Mutant("core.range_high", "(pixels > TEMP_MAX_C)", "(pixels > TEMP_MAX_C + 0.5)"),
     Mutant("core.first_bad_row_wins", "i, k = min(broken)", "i, k = max(broken)"),
+    # core.parse_sequence: a field is a plain ASCII number, as float() reads more.
+    Mutant("core.ascii_gate", 'plain = stripped.isascii() and "_" not in stripped', "plain = True"),
+    Mutant("core.ascii_underscore", 'isascii() or "_" in field:', "isascii():"),
     # core._number: a finite JSON number, not a bool.
     Mutant("core.number_max", "abs(v) <= sys.float_info.max", "abs(v) < sys.float_info.max"),
     Mutant("core.number_abs", "abs(v) <= sys.float_info.max", "v <= sys.float_info.max"),
@@ -93,29 +98,51 @@ MUTANTS = (
         "isinstance(v, (int, float)) and not isinstance(v, bool) and",
         "isinstance(v, (int, float)) and",
     ),
+    # core._structural_violations: the rules a manifest's own fields obey.
+    Mutant(
+        "core.label_set_distinct", "if len(set(label_set)) != len(label_set):", "if False:"
+    ),
+    Mutant("core.background_path_unique", "if bg.path in seen_paths:", "if False:"),
+    # config: every section's range checks.
+    Mutant("config.regularization_c", "self.regularization_c > 0", "self.regularization_c >= 0"),
+    Mutant("config.max_epochs", "self.max_epochs >= 1", "self.max_epochs >= 0"),
+    Mutant("config.tolerance", "self.tolerance > 0", "self.tolerance >= 0"),
+    Mutant("config.temporal_k", "self.temporal_k >= 1", "self.temporal_k >= 0"),
+    Mutant("config.spatial_block_low", "1 <= self.spatial_block", "0 <= self.spatial_block"),
+    Mutant("config.target_len", "self.target_len >= 1", "self.target_len >= 0"),
+    Mutant("config.protocol", "if self.protocol not in PROTOCOLS:", "if False:"),
+    Mutant("config.k", "self.k >= 2", "self.k >= 1"),
     # classifier.load_model: every check on a model file.
     Mutant(
         "classifier.model_version",
-        'if data["version"] != MODEL_FORMAT_VERSION:',
-        'if data["version"] not in (MODEL_FORMAT_VERSION, None):',
+        "or version != MODEL_FORMAT_VERSION:",
+        "or version < 0:",
     ),
-    Mutant(
-        "classifier.model_config_object",
-        "if not isinstance(config, dict):",
-        "if not isinstance(config, (dict, list)):",
-    ),
+    Mutant("classifier.model_version_int", "if type(version) is not int or", "if"),
+    Mutant("classifier.model_config_read", 'data.get("config", {})', "{}"),
+    Mutant("classifier.model_config_object", "raise ModelFormatError(str(exc)) from None", "raise"),
     Mutant("classifier.model_bias_shape", "or biases.shape != (len(classes),)", ""),
     Mutant("classifier.model_std_shape", "or std.shape != (dim,)", ""),
     Mutant(
         "classifier.model_finite",
-        "np.isfinite(arr).all() for arr in (weights, biases, mean, std)",
-        "np.isfinite(arr).all() for arr in (weights, biases, mean)",
+        "if not _number(v)]",
+        "if not isinstance(v, (int, float))]",
+    ),
+    Mutant(
+        "classifier.model_numbers_everywhere",
+        "zip(ARRAY_KEYS, arrays)",
+        "zip(ARRAY_KEYS[:3], arrays)",
     ),
     Mutant("classifier.model_std_floor", "(std < STD_FLOOR).any()", "(std <= 0).any()"),
     Mutant(
+        "classifier.model_classes_list",
+        "not isinstance(classes, list)",
+        "not isinstance(classes, (list, str, dict))",
+    ),
+    Mutant(
         "classifier.model_class_strings",
-        "if not all(isinstance(c, str) for c in classes) or",
-        "if",
+        "or not all(isinstance(c, str) for c in classes)",
+        "",
     ),
     Mutant(
         "classifier.model_distinct_classes",
@@ -173,29 +200,31 @@ def run_tests(work: Path, files: tuple[str, ...]) -> tuple[bool, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    parser.add_argument(
+        "--list", action="store_true", help="check every anchor, print the mutant names and exit"
+    )
     args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(m.name for m in MUTANTS))
-        return 0
     unknown = set(args.names) - {m.name for m in MUTANTS}
     if unknown:
         parser.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    stale = []
+    for m in chosen:
+        text = (ROOT / "src" / "thermact" / f"{m.module}.py").read_text(encoding="utf-8")
+        if text.count(m.old) != 1:
+            stale.append(f"{m.name}: {m.old!r} occurs {text.count(m.old)} times")
+    if stale:
+        print("stale mutants:\n  " + "\n  ".join(stale), file=sys.stderr)
+        return 2
+    if args.list:
+        print("\n".join(m.name for m in chosen))
+        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
         work = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part, ignore=ignore)
-        stale = []
-        for m in chosen:
-            text = (work / "src" / "thermact" / f"{m.module}.py").read_text(encoding="utf-8")
-            if text.count(m.old) != 1:
-                stale.append(f"{m.name}: {m.old!r} occurs {text.count(m.old)} times")
-        if stale:
-            print("stale mutants:\n  " + "\n  ".join(stale), file=sys.stderr)
-            return 2
         modules = sorted({m.module for m in chosen})
         for module in modules:
             passed, _ = run_tests(work, TESTS[module])
