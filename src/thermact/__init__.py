@@ -52,7 +52,6 @@ from .synth import (
     SubjectProfile,
     builtin_scripts,
     generate_corpus,
-    render_sequence,
 )
 from .config import EvalSettings, PipelineConfig, apply_overrides
 

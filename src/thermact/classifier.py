@@ -357,7 +357,7 @@ def load_model(path: str | Path) -> tuple[SvmModel, PipelineConfig]:
     """Read a model file back: the model, and its `config` block read as a config file is."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_bytes())
     except OSError as exc:
         raise ThermactError(f"cannot read model from {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep

@@ -135,12 +135,6 @@ def from_json_file(cls, path: str | Path):
     return from_json(cls, data, str(path))
 
 
-def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64).reshape(shape)
-    arr.flags.writeable = False
-    return arr
-
-
 def _first_bad_frame(pixels: np.ndarray, timestamps: np.ndarray) -> tuple[int, str] | None:
     """Index of the first frame that breaks a validity rule, and the rule.
 
@@ -450,15 +444,16 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     Every referenced frame file must exist and parse; activity entries must
     hold at least MIN_ACTIVITY_FRAMES frames; subject, session and sensor
     ids must be strings. All violations are collected and reported together
-    in a single ManifestError. The manifest holds the sequences it parsed
-    until `load_sequences`/`load_backgrounds` look them up (see
+    in a single ManifestError; a file that cannot be read is a ThermactError.
+    The manifest holds the sequences it parsed until
+    `load_sequences`/`load_backgrounds` look them up (see
     `DatasetManifest.recording`).
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_bytes())
     except OSError as exc:
-        raise ManifestError([f"cannot read manifest {path}: {exc}"]) from exc
+        raise ThermactError(f"cannot read manifest {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ManifestError([f"manifest {path} is not valid JSON: {exc}"]) from exc
     if not isinstance(data, dict):

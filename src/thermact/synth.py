@@ -38,7 +38,6 @@ from .core import (
     DatasetManifest,
     ManifestEntry,
     ThermalSequence,
-    _frozen_array,
     write_manifest,
     write_sequence,
 )
@@ -77,7 +76,7 @@ class SceneParams:
     quantize_step: float = 0.25
 
     def __post_init__(self):
-        offsets = np.asarray(self.ambient_pixel_offsets, dtype=np.float64).reshape(-1)
+        offsets = np.array(self.ambient_pixel_offsets, dtype=np.float64).reshape(-1)
         if offsets.shape != (PIXEL_COUNT,):
             raise ValueError(
                 f"ambient_pixel_offsets must hold {PIXEL_COUNT} values, got {offsets.size}"
@@ -90,9 +89,8 @@ class SceneParams:
             raise ValueError("frame_rate_hz must be positive")
         if not self.quantize_step >= 0:
             raise ValueError("quantize_step must be >= 0")
-        object.__setattr__(
-            self, "ambient_pixel_offsets", _frozen_array(offsets, (PIXEL_COUNT,))
-        )
+        offsets.flags.writeable = False
+        object.__setattr__(self, "ambient_pixel_offsets", offsets)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "ambient_pixel_offsets": self.ambient_pixel_offsets.tolist()}
@@ -166,7 +164,7 @@ def blob_field(script: ActivityScript, u: np.ndarray) -> np.ndarray:
     dx2 = (cols[None, :] - x[:, None]) ** 2 / (2.0 * sx[:, None] ** 2)
     dy2 = (rows[None, :] - y[:, None]) ** 2 / (2.0 * sy[:, None] ** 2)
     blob = amp[:, None, None] * np.exp(-(dy2[:, :, None] + dx2[:, None, :]))
-    return blob.reshape(len(np.atleast_1d(u)), PIXEL_COUNT)
+    return blob.reshape(len(u), PIXEL_COUNT)
 
 
 def frame_times(scene: SceneParams, script: ActivityScript) -> np.ndarray:
@@ -176,15 +174,15 @@ def frame_times(scene: SceneParams, script: ActivityScript) -> np.ndarray:
 
 def render_frames(
     scene: SceneParams, script: ActivityScript, seed: int | np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Raw pixel values (frame_count, 64) plus the count of clamped values.
+) -> tuple[ThermalSequence, int]:
+    """A script rendered into a raw sequence, plus the count of clamped values.
 
-    Frame f sits at time f / frame_rate; the value of each pixel is ambient
-    mean + fixed per-pixel offset + blob + i.i.d. Gaussian noise, optionally
-    quantized, then clamped to the sensor range (clamping should not occur
-    at default settings).
+    Frame f sits at time f / frame_rate, stamped in whole milliseconds; the
+    value of each pixel is ambient mean + fixed per-pixel offset + blob +
+    i.i.d. Gaussian noise, optionally quantized, then clamped to the sensor
+    range (clamping should not occur at default settings).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     times = frame_times(scene, script)
     u = np.clip(times / script.duration_s, 0.0, 1.0)
     values = (
@@ -197,16 +195,7 @@ def render_frames(
         values = np.round(values / scene.quantize_step) * scene.quantize_step
     clamped = int(np.count_nonzero((values < TEMP_MIN_C) | (values > TEMP_MAX_C)))
     values = np.clip(values, TEMP_MIN_C, TEMP_MAX_C)
-    return values, clamped
-
-
-def render_sequence(
-    scene: SceneParams, script: ActivityScript, seed: int | np.random.Generator
-) -> ThermalSequence:
-    """Render a script into a raw sequence."""
-    values, _ = render_frames(scene, script, seed)
-    times = frame_times(scene, script)
-    return ThermalSequence(pixels=values, timestamps_ms=np.round(1000.0 * times))
+    return ThermalSequence(pixels=values, timestamps_ms=np.round(1000.0 * times)), clamped
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +226,11 @@ class SubjectProfile:
         )
 
 
-class _Draw:
-    """Uniform draws from an rng, or the interval midpoint when canonical."""
-
-    def __init__(self, rng: np.random.Generator | None):
-        self.rng = rng
-
-    def __call__(self, lo: float, hi: float) -> float:
-        if self.rng is None:
-            return (lo + hi) / 2.0
-        return float(self.rng.uniform(lo, hi))
+def _uniform_draw(rng: np.random.Generator | None):
+    """Uniform draws from `rng`, or the interval midpoint when rng is None."""
+    if rng is None:
+        return lambda lo, hi: (lo + hi) / 2.0
+    return lambda lo, hi: float(rng.uniform(lo, hi))
 
 
 def _still_script(label, draw, profile, duration):
@@ -335,7 +319,7 @@ def builtin_scripts(
     they are exact mirror images of each other.
     """
     profile = profile or SubjectProfile()
-    draw = _Draw(rng)
+    draw = _uniform_draw(rng)
 
     def dur(label):
         return DEFAULT_DURATIONS_S[label] * profile.speed_factor * draw(0.92, 1.08)
@@ -403,12 +387,11 @@ def generate_corpus(
     def write(name: str, script: ActivityScript, rng: np.random.Generator, min_frames: int):
         """Render `script` and write it to `name`; count its clamped values."""
         nonlocal clamped
-        values, c = render_frames(scene, script, rng)
+        seq, c = render_frames(scene, script, rng)
         clamped += c
-        if len(values) < min_frames:
-            raise ValueError(f"{name}: has {len(values)} frames, needs at least {min_frames}")
-        stamps = np.round(1000.0 * frame_times(scene, script))
-        write_sequence(ThermalSequence(pixels=values, timestamps_ms=stamps), out / name)
+        if len(seq) < min_frames:
+            raise ValueError(f"{name}: has {len(seq)} frames, needs at least {min_frames}")
+        write_sequence(seq, out / name)
 
     write("background.csv", empty_scene_script(), np.random.default_rng(children[0]), 1)
 

@@ -96,6 +96,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="no training examples"):
             train(X, ["a", "b"], classes=("a", "b", "c"))
 
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="3 feature rows but 2 labels"):
+            train(np.eye(3), ["a", "b"])
+
+    def test_label_outside_class_list_rejected(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match=r"labels outside the class list: \['c'\]"):
+            train(X, ["a", "b", "c"], classes=("a", "b"))
+
     def test_constant_feature_passes_through_centered(self):
         X = np.array([[1.0, -1.0, 7.0], [1.0, 1.0, 7.0]] * 5)
         labels = ["a", "b"] * 5
@@ -560,7 +569,7 @@ class TestPersistence:
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"version": 99}))
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(ModelFormatError, match="unsupported model version 99"):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
@@ -607,6 +616,7 @@ class TestPersistence:
             (lambda d: d.update(version=2), "unsupported model version 2 "),
             (lambda d: d.update(version=True), "unsupported model version True"),
             (lambda d: d.update(version=1.0), "unsupported model version 1.0"),
+            (lambda d: d.pop("biases"), r"malformed model file \('biases'\)"),
             (lambda d: d["biases"].__setitem__(0, str(d["biases"][0])), "biases holds a non-"),
             (lambda d: d["scaler_mean"].__setitem__(2, "1"), "scaler_mean holds a non-"),
             (lambda d: d["weights"][1].__setitem__(0, True), "weights holds .* True"),

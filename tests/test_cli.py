@@ -247,13 +247,13 @@ class TestTrainPredict:
     def test_predict_long_raw_file_resampled(self, corpus_dir, tmp_path, capsys):
         # a 60-frame still is resampled to the model's 20 internally
         from thermact.core import write_sequence
-        from thermact.synth import SceneParams, builtin_scripts, render_sequence
+        from thermact.synth import SceneParams, builtin_scripts, render_frames
 
         model_path = tmp_path / "model.json"
         main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])
         scripts = builtin_scripts(np.random.default_rng(0))
         long_script = scripts["sit_still"]
-        seq = render_sequence(SceneParams(), long_script, seed=0)
+        seq = render_frames(SceneParams(), long_script, seed=0)[0]
         assert len(seq) > 20
         seq_path = tmp_path / "long.csv"
         write_sequence(seq, seq_path)
@@ -623,6 +623,16 @@ class TestMalformedSettings:
                 str(corpus_dir / "background.csv"), str(corpus_dir / "s01r1_fall.csv")]
         assert main(args) == 1
         one_error_line(capsys, f"{model_path} is not a valid model file")
+
+    def test_unreadable_manifest_path(self, tmp_path, capsys):
+        assert main(["evaluate", "--data", str(tmp_path)]) == 1
+        one_error_line(capsys, f"cannot read manifest {tmp_path}: ")
+
+    def test_unreadable_model_path(self, corpus_dir, tmp_path, capsys):
+        args = ["predict", "--model", str(tmp_path), "--background",
+                str(corpus_dir / "background.csv"), str(corpus_dir / "s01r1_fall.csv")]
+        assert main(args) == 1
+        one_error_line(capsys, f"cannot read model from {tmp_path}: ")
 
     def test_manifest_nested_too_deep(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"

@@ -24,7 +24,7 @@ from thermact.core import (
     write_sequence,
 )
 from thermact.preprocess import subtract_background
-from thermact.synth import SceneParams, builtin_scripts, render_sequence
+from thermact.synth import SceneParams, builtin_scripts, render_frames
 from oracles import serialize_per_value
 
 
@@ -244,7 +244,7 @@ class TestRoundTrip:
     def test_generator_round_trip_bit_exact(self):
         scene = SceneParams()
         script = builtin_scripts(np.random.default_rng(3))["walk_left_right"]
-        seq = render_sequence(scene, script, seed=3)
+        seq = render_frames(scene, script, seed=3)[0]
         parsed = parse_sequence(serialize_sequence(seq))
         assert len(parsed) == len(seq)
         assert np.array_equal(parsed.timestamps_ms, seq.timestamps_ms)
@@ -547,6 +547,16 @@ class TestManifest:
         assert len(sequences) == 7
         assert sequences == [read_sequence(manifest.resolve(e.path)) for e in manifest.entries]
         assert len({s.pixels[1, 0] for s in sequences}) == 7
+
+    def test_write_keeps_a_per_session_background(self, tmp_path):
+        manifest = load_manifest(_write_corpus(tmp_path, n_subjects=1, n_sessions=1))
+        per_session = DatasetManifest(
+            entries=manifest.entries,
+            label_set=manifest.label_set,
+            backgrounds=(BackgroundEntry(path="bg.csv", session_id="s0r0"),),
+        )
+        write_manifest(per_session, tmp_path / "again.json")
+        assert load_manifest(tmp_path / "again.json").backgrounds == per_session.backgrounds
 
     def test_write_then_load(self, tmp_path, small_corpus):
         out = tmp_path / "copy.json"

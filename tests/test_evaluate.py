@@ -182,6 +182,18 @@ class TestConfusionMatrix:
         cm = confusion_from_records(["a"], ["a"], ["a", "b"])
         assert cm.per_class_accuracy() == (1.0, None)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (np.zeros((2, 3), dtype=int), "square"),
+            (np.zeros((3, 3), dtype=int), "square"),
+            (np.array([[1, -1], [0, 2]]), "non-negative"),
+        ],
+    )
+    def test_invalid_counts_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ConfusionMatrix(labels=("a", "b"), counts=counts)
+
     def test_text_rendering(self):
         cm = confusion_from_records(["a", "b"], ["a", "b"], ["a", "b"])
         text = cm.to_text()
@@ -294,7 +306,7 @@ class TestRunPipelineCv:
             SubjectProfile,
             builtin_scripts,
             empty_scene_script,
-            render_sequence,
+            render_frames,
         )
 
         scene = SceneParams()
@@ -303,7 +315,7 @@ class TestRunPipelineCv:
         root_ss = np.random.SeedSequence(99)
         subj_ss = root_ss.spawn(5)
         write_sequence(
-            render_sequence(scene, empty_scene_script(), np.random.default_rng(subj_ss[0])),
+            render_frames(scene, empty_scene_script(), np.random.default_rng(subj_ss[0]))[0],
             tmp_path / "bg.csv",
         )
         for si in range(1, 5):
@@ -311,7 +323,7 @@ class TestRunPipelineCv:
             profile = SubjectProfile.draw(np.random.default_rng(kids[0]))
             for li, label in enumerate(labels):
                 rng = np.random.default_rng(kids[1 + li])
-                seq = render_sequence(scene, builtin_scripts(rng, profile)[label], rng)
+                seq = render_frames(scene, builtin_scripts(rng, profile)[label], rng)[0]
                 name = f"s{si}_{label}.csv"
                 write_sequence(seq, tmp_path / name)
                 entries.append(

@@ -195,20 +195,33 @@ BAD_FIELDS += ["2_5", "\u0663\u0663", "\uff12\uff15"]
 
 @st.composite
 def frame_csv(draw):
-    """Bytes near the frame format: rows of 64 or 65 fields, at times one of them bad."""
-    rows = []
+    """Bytes near the frame format: rows of 64 or 65 fields, at times one of them bad.
+
+    Returns the bytes and whether a kept data row of 64 or 65 fields holds a bad
+    pixel value, which no encoding below makes good. Column 0 of a 65-field row
+    is its stamp, where `81` and `2.5e2` are legal, so a bad value there does
+    not count.
+    """
+    rows, bad_pixel = [], False
     for _ in range(draw(st.integers(0, 4))):
         width = draw(st.sampled_from([63, 64, 65, 66]))
         fields = [draw(st.sampled_from(GOOD_FIELDS)) for _ in range(width)]
+        column = None
         if draw(st.booleans()):
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(BAD_FIELDS))
-        rows.append(draw(st.sampled_from([",".join(fields), "", "# comment"])))
-    return "\n".join(rows).encode(draw(st.sampled_from(["utf-8", "utf-16", "latin-1"])), "replace")
+            column = draw(st.integers(0, len(fields) - 1))
+            fields[column] = draw(st.sampled_from(BAD_FIELDS))
+        data = ",".join(fields)
+        rows.append(draw(st.sampled_from([data, "", "# comment"])))
+        if rows[-1] == data and width in (64, 65) and column is not None:
+            bad_pixel |= column >= width - 64
+    encoding = draw(st.sampled_from(["utf-8", "utf-16", "latin-1"]))
+    return "\n".join(rows).encode(encoding, "replace"), bad_pixel
 
 
 @FUZZ
-@given(content=st.binary(max_size=300) | frame_csv())
-def test_frame_csv(fuzz_dir, content):
+@given(case=st.tuples(st.binary(max_size=300), st.just(False)) | frame_csv())
+def test_frame_csv(fuzz_dir, case):
+    content, bad_pixel = case
     path = fuzz_dir / "frames.csv"
     path.write_bytes(content)
     try:
@@ -216,6 +229,7 @@ def test_frame_csv(fuzz_dir, content):
     except SequenceFormatError as exc:
         assert_names(exc, path)
     else:
+        assert not bad_pixel
         assert isinstance(seq, ThermalSequence) and len(seq) >= 1
 
 
@@ -271,6 +285,51 @@ def test_manifest(manifest_dir, value):
         assert isinstance(manifest, DatasetManifest)
         ids = [manifest.sensor_id] + [e.subject_id for e in manifest.entries]
         assert all(isinstance(i, str) for i in ids)
+
+
+def read_json_file(kind, path):
+    """Read `path` as a `kind` file, giving what `==` can compare."""
+    if kind == "config":
+        return from_json_file(PipelineConfig, path)
+    if kind == "scene":
+        return from_json_file(SceneParams, path).to_dict()
+    if kind == "manifest":
+        manifest = load_manifest(path)
+        return manifest.entries, manifest.backgrounds, manifest.sensor_id
+    model, config = load_model(path)
+    return model.classes, model.weights.tolist(), config
+
+
+# Each JSON file kind: a valid value (None: the model_file fixture) and its error.
+JSON_FILES = {
+    "config": ({"svm": {"max_epochs": 7}, "eval": {"protocol": "kfold"}}, ConfigError),
+    "scene": ({"ambient_mean": 22.5, "noise_std": 0.5}, ConfigError),
+    "manifest": (
+        {"label_set": ["fall"], "sensor_id": "capteur-\u00e9t\u00e9", "entries": [
+            {"path": "two.csv", "label": "fall", "subject": "s\u00e9", "session": "r1"},
+            {"path": "one.csv", "role": "background"},
+        ]},
+        ManifestError,
+    ),
+    "model": (None, ModelFormatError),
+}
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32"])
+@pytest.mark.parametrize("kind", list(JSON_FILES))
+def test_json_file_encodings(manifest_dir, model_file, kind, encoding):
+    # Every JSON file is decoded from its bytes, so each encoding JSON allows
+    # reads as its UTF-8 copy does; bytes in no such encoding stay refused.
+    value, error = JSON_FILES[kind]
+    text = json.dumps(model_file if value is None else value, ensure_ascii=False)
+    plain, encoded = manifest_dir / f"{kind}-utf-8.json", manifest_dir / f"{kind}-{encoding}.json"
+    plain.write_text(text, encoding="utf-8")
+    encoded.write_text(text, encoding=encoding)
+    assert read_json_file(kind, encoded) == read_json_file(kind, plain)
+    encoded.write_bytes(b"\xff{}")
+    with pytest.raises(error) as refused:
+        read_json_file(kind, encoded)
+    assert_names(refused.value, encoded)
 
 
 # Small tokens only: an int flag never asks for much memory or time (a huge

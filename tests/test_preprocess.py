@@ -10,7 +10,7 @@ from thermact.preprocess import (
     resample_indices,
     subtract_background,
 )
-from thermact.synth import SceneParams, blob_field, builtin_scripts, frame_times, render_sequence
+from thermact.synth import SceneParams, blob_field, builtin_scripts, frame_times, render_frames
 
 
 def seq_of(values):
@@ -65,7 +65,7 @@ class TestSubtractBackground:
 
     def test_round_trip_add_back(self):
         scene = SceneParams()
-        seq = render_sequence(scene, builtin_scripts(np.random.default_rng(5))["fall"], seed=5)
+        seq = render_frames(scene, builtin_scripts(np.random.default_rng(5))["fall"], seed=5)[0]
         bg = scene.ambient_mean + scene.ambient_pixel_offsets
         restored = subtract_background(seq, bg) + bg
         assert np.allclose(restored, seq.pixels, atol=1e-12)
@@ -74,7 +74,7 @@ class TestSubtractBackground:
         # Oracle: the generator's noise-free blob field marks body pixels.
         scene = SceneParams(noise_std=0.05, quantize_step=0.0)
         script = builtin_scripts(np.random.default_rng(2))["sit_still"]
-        seq = render_sequence(scene, script, seed=2)
+        seq = render_frames(scene, script, seed=2)[0]
         u = np.clip(frame_times(scene, script) / script.duration_s, 0, 1)
         blob = blob_field(script, u)
         on_mask = blob.max(axis=0) > 1.0

@@ -19,7 +19,6 @@ from thermact.synth import (
     frame_times,
     generate_corpus,
     render_frames,
-    render_sequence,
 )
 from toy_data import toy_clusters
 
@@ -40,6 +39,11 @@ class TestSceneParams:
         with pytest.raises(ValueError):
             SceneParams(ambient_mean=100.0)
 
+    @pytest.mark.parametrize("count", [63, 65])
+    def test_offset_count(self, count):
+        with pytest.raises(ValueError, match=f"must hold 64 values, got {count}"):
+            SceneParams(ambient_pixel_offsets=np.zeros(count))
+
     def test_dict_round_trip(self):
         scene = SceneParams(ambient_mean=22.0, noise_std=0.1)
         again = from_json(SceneParams, scene.to_dict(), "scene")
@@ -56,6 +60,22 @@ class TestActivityScript:
         with pytest.raises(ValueError, match="sigma"):
             ActivityScript(duration_s=1.0, keys=(ScriptKey(0.0, 3.5, 3.5, 0.0, 1.0, 5.0),))
 
+    @pytest.mark.parametrize(
+        "duration, us, message",
+        [
+            (0.0, [0.0, 1.0], "duration_s must be positive"),
+            (-1.0, [0.0, 1.0], "duration_s must be positive"),
+            (1.0, [], "at least one key"),
+            (1.0, [0.6, 0.4], "non-decreasing"),
+            (1.0, [-0.1, 1.0], "within \\[0, 1\\]"),
+            (1.0, [0.0, 1.1], "within \\[0, 1\\]"),
+        ],
+    )
+    def test_duration_and_key_rules(self, duration, us, message):
+        keys = tuple(ScriptKey(u, 3.5, 3.5, 1.0, 1.0, 5.0) for u in us)
+        with pytest.raises(ValueError, match=message):
+            ActivityScript(duration_s=duration, keys=keys)
+
     def test_offgrid_path_rejected_unless_allowed(self):
         keys = (ScriptKey(0.0, 20.0, 3.5, 1.0, 1.0, 5.0),)
         with pytest.raises(ValueError, match="grid"):
@@ -71,7 +91,7 @@ class TestRenderSequence:
     def test_zero_amplitude_statistically_empty(self):
         scene = SceneParams()
         script = empty_scene_script(duration_s=10.0)
-        seq = render_sequence(scene, script, seed=0)
+        seq = render_frames(scene, script, seed=0)[0]
         expected = scene.ambient_mean + scene.ambient_pixel_offsets
         observed = seq.pixels.mean(axis=0)
         n = len(seq)
@@ -81,7 +101,7 @@ class TestRenderSequence:
     def test_blob_matches_analytic_gaussian(self):
         scene = SceneParams(noise_std=1e-12, quantize_step=0.0)
         script = static_script(x=3.0, y=4.0, sigma=1.2, amp=5.0)
-        seq = render_sequence(scene, script, seed=1)
+        seq = render_frames(scene, script, seed=1)[0]
         cols, rows = np.meshgrid(np.arange(8), np.arange(8))
         analytic = 5.0 * np.exp(
             -(((cols - 3.0) ** 2) + ((rows - 4.0) ** 2)) / (2 * 1.2**2)
@@ -92,7 +112,7 @@ class TestRenderSequence:
     def test_walking_centroid_monotone(self):
         scene = SceneParams(noise_std=0.01, quantize_step=0.0)
         script = builtin_scripts()["walk_left_right"]
-        seq = render_sequence(scene, script, seed=3)
+        seq = render_frames(scene, script, seed=3)[0]
         xs = []
         cols = np.array([i % 8 for i in range(64)], dtype=float)  # column per pixel
         for frame in seq.pixels:
@@ -103,21 +123,21 @@ class TestRenderSequence:
 
     def test_frame_count_and_timestamps(self):
         scene = SceneParams()
-        seq = render_sequence(scene, static_script(duration=2.0), seed=0)
+        seq = render_frames(scene, static_script(duration=2.0), seed=0)[0]
         assert len(seq) == 20
         assert seq.timestamps_ms[1] == 100
 
     def test_deterministic_given_seed(self):
         scene = SceneParams()
-        a = render_sequence(scene, static_script(), seed=5)
-        b = render_sequence(scene, static_script(), seed=5)
+        a = render_frames(scene, static_script(), seed=5)[0]
+        b = render_frames(scene, static_script(), seed=5)[0]
         assert a == b
 
     def test_clamping_counted(self):
         scene = SceneParams(ambient_mean=79.0)
-        values, clamped = render_frames(scene, static_script(amp=6.0), seed=0)
+        seq, clamped = render_frames(scene, static_script(amp=6.0), seed=0)
         assert clamped > 0
-        assert values.max() <= 80.0
+        assert seq.pixels.max() <= 80.0
 
     def test_no_clamping_at_defaults(self):
         _, clamped = render_frames(SceneParams(), static_script(), seed=0)

@@ -35,13 +35,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # The tests that check each module. core's JSON number rule is tested through
-# config, and core and classifier read files, which test_fuzz.py exercises.
+# config, core and classifier read files, which test_fuzz.py exercises, and
+# test_cli.py checks the error line of a file that cannot be read.
 TESTS = {
-    "core": ("tests/test_core.py", "tests/test_config.py", "tests/test_fuzz.py"),
-    "classifier": ("tests/test_classifier.py", "tests/test_fuzz.py"),
+    "core": (
+        "tests/test_core.py", "tests/test_config.py", "tests/test_fuzz.py", "tests/test_cli.py"
+    ),
+    "classifier": ("tests/test_classifier.py", "tests/test_fuzz.py", "tests/test_cli.py"),
     "config": ("tests/test_config.py",),
     "preprocess": ("tests/test_preprocess.py",),
     "evaluate": ("tests/test_evaluate.py",),
+    "synth": ("tests/test_synth.py",),
 }
 
 # A mutant whose tests run longer than this is counted as killed (it hangs).
@@ -103,6 +107,14 @@ MUTANTS = (
         "core.label_set_distinct", "if len(set(label_set)) != len(label_set):", "if False:"
     ),
     Mutant("core.background_path_unique", "if bg.path in seen_paths:", "if False:"),
+    # core: reading and writing manifests.
+    Mutant("core.min_frames", "if len(seq) < min_frames:", "if False:"),
+    Mutant(
+        "core.manifest_unreadable",
+        'raise ThermactError(f"cannot read manifest {path}: {exc}") from exc',
+        "raise",
+    ),
+    Mutant("core.write_background_session", 'item["session"] = bg.session_id', "pass"),
     # config: every section's range checks.
     Mutant("config.regularization_c", "self.regularization_c > 0", "self.regularization_c >= 0"),
     Mutant("config.max_epochs", "self.max_epochs >= 1", "self.max_epochs >= 0"),
@@ -112,7 +124,20 @@ MUTANTS = (
     Mutant("config.target_len", "self.target_len >= 1", "self.target_len >= 0"),
     Mutant("config.protocol", "if self.protocol not in PROTOCOLS:", "if False:"),
     Mutant("config.k", "self.k >= 2", "self.k >= 1"),
+    # classifier.train: the labels must fit the rows and the class list.
+    Mutant("classifier.train_label_count", "if len(labels) != X.shape[0]:", "if False:"),
+    Mutant("classifier.train_unknown_labels", "if unknown:", "if False:"),
     # classifier.load_model: every check on a model file.
+    Mutant(
+        "classifier.model_unreadable",
+        'raise ThermactError(f"cannot read model from {path}: {exc}") from exc',
+        "raise",
+    ),
+    Mutant(
+        "classifier.model_missing_key",
+        "except (KeyError, ValueError) as exc:",
+        "except ValueError as exc:",
+    ),
     Mutant(
         "classifier.model_version",
         "or version != MODEL_FORMAT_VERSION:",
@@ -178,6 +203,20 @@ MUTANTS = (
         "if members.size and members.size < k:",
         "if members.size and members.size < k - 1:",
     ),
+    # evaluate.ConfusionMatrix: a square count matrix of non-negative counts.
+    Mutant(
+        "evaluate.confusion_square",
+        "if counts.shape != (len(self.labels), len(self.labels)):",
+        "if False:",
+    ),
+    Mutant("evaluate.confusion_non_negative", "if (counts < 0).any():", "if False:"),
+    # synth: the rules a scene and an activity script obey.
+    Mutant("synth.offset_count", "if offsets.shape != (PIXEL_COUNT,):", "if False:"),
+    Mutant("synth.script_duration", "if self.duration_s <= 0:", "if False:"),
+    Mutant("synth.script_keys", "if not self.keys:", "if False:"),
+    Mutant("synth.key_order", "if us != sorted(us) or", "if"),
+    Mutant("synth.key_u_low", "or us[0] < 0", ""),
+    Mutant("synth.key_u_high", "or us[-1] > 1", ""),
 )
 
 
