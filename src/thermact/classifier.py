@@ -80,28 +80,22 @@ class SvmModel:
     def dimension(self) -> int:
         return self.weights.shape[1]
 
-    def decision_scores(self, features: np.ndarray) -> np.ndarray:
-        """Raw features in, one score per class out (a score row per feature row if 2-D).
+    def decision_scores(self, features) -> np.ndarray:
+        """Raw (N, D) features in, (N, C) scores out, one score per class.
 
         Rows are scored one at a time, so a row's scores are the same bits in
         any batch. A non-finite feature or score is a RowError naming its row.
         """
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim not in (1, 2):
-            raise ValueError(f"features must be a (D,) row or (N, D) matrix, got {features.shape}")
-        if features.shape[-1] != self.dimension:
+        X = _as_matrix(features)
+        if X.shape[1] != self.dimension:
             raise ValueError(
-                f"feature dimension {features.shape[-1]} does not match "
-                f"model dimension {self.dimension}"
+                f"feature dimension {X.shape[1]} does not match model dimension {self.dimension}"
             )
-        _require_finite(features, "feature")
-        rows = features.reshape(-1, self.dimension)
-        # Filled through a view, so the array returned owns its data and keeps no base alive.
-        scores = np.empty(features.shape[:-1] + (len(self.classes),))
-        out = scores.reshape(len(rows), len(self.classes))
+        _require_finite(X, "feature")
+        scores = np.empty((len(X), len(self.classes)))
         with np.errstate(all="ignore"):  # a non-finite score is refused below
-            for i, row in enumerate(rows):
-                out[i] = ((row - self.scaler_mean) / self.scaler_std) @ self.weights.T + self.biases
+            for i, row in enumerate(X):
+                scores[i] = ((row - self.scaler_mean) / self.scaler_std) @ self.weights.T + self.biases
         _require_finite(scores, "score")
         return scores
 
@@ -124,7 +118,7 @@ def _as_matrix(features) -> np.ndarray:
 
 def _require_finite(X: np.ndarray, what: str) -> None:
     if not np.isfinite(X).all():
-        raise RowError(what, np.flatnonzero(~np.isfinite(X.reshape(-1, X.shape[-1])).all(axis=1)))
+        raise RowError(what, np.flatnonzero(~np.isfinite(X).all(axis=1)))
 
 
 def _objective(w: np.ndarray, Zb: np.ndarray, y: np.ndarray, lam: float) -> float:
@@ -183,7 +177,6 @@ def _train_ovr(
     W = np.zeros((C, Zb.shape[1]))
     epochs = [cfg.max_epochs] * C
     converged = [False] * C
-    objectives = [0.0] * C
     active = list(range(C))
     Wa, Ya = W.copy(), Y
     wmax = 0.0  # bounds the norm of every active row of Wa
@@ -234,7 +227,6 @@ def _train_ovr(
                     W[c] = Wa[k]
                     epochs[c] = epoch
                     converged[c] = True
-                    objectives[c] = _objective(Wa[k], Zb, Ya[k], lam)
                 keep = [k for k in range(len(active)) if k not in stop]
                 active = [active[k] for k in keep]
                 Wa, Ya, M = Wa[keep], Ya[keep], M[keep]
@@ -243,9 +235,8 @@ def _train_ovr(
                     break
         low, scale = M.min(axis=0).tolist(), 1.0
         prev_obj, prev_err, W_prev = obj, err, Wa.copy()
-    for k, c in enumerate(active):
-        objectives[c] = _objective(Wa[k], Zb, Ya[k], lam)
     W[active] = Wa
+    objectives = [_objective(W[c], Zb, Y[c], lam) for c in range(C)]
     return W, epochs, converged, objectives
 
 
@@ -313,11 +304,12 @@ def train(
 
 
 def predict(model: SvmModel, feature) -> tuple[str, np.ndarray]:
-    """Predicted label and the per-class decision scores for one vector.
+    """Predicted label and per-class scores for one vector, scored as a one-row matrix.
 
     Ties go to the lowest class index in the model's class order.
     """
-    scores = model.decision_scores(np.asarray(feature, dtype=np.float64).reshape(-1))
+    # A copy, so a kept result does not keep its (1, C) base alive.
+    scores = model.decision_scores(np.reshape(feature, (1, -1)))[0].copy()
     return model.classes[int(np.argmax(scores))], scores
 
 
@@ -327,7 +319,7 @@ def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
     `decision_scores` scores each row on its own, so batch output is
     bit-identical to one-at-a-time prediction.
     """
-    scores = model.decision_scores(_as_matrix(features))
+    scores = model.decision_scores(features)
     labels = [model.classes[i] for i in np.argmax(scores, axis=1)]
     return labels, scores
 

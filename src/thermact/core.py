@@ -60,15 +60,12 @@ class ManifestError(ThermactError):
 
     def __init__(self, violations: list[str], where: str = "manifest"):
         self.violations = list(violations)
-        super().__init__(
-            "invalid %s (%d problem%s):\n%s"
-            % (
-                where,
-                len(self.violations),
-                "" if len(self.violations) == 1 else "s",
-                "\n".join("  - " + v for v in self.violations),
-            )
-        )
+        if len(self.violations) == 1:
+            message = f"invalid {where}: {self.violations[0]}"
+        else:
+            lines = "".join("\n  - " + v for v in self.violations)
+            message = f"invalid {where} ({len(self.violations)} problems):{lines}"
+        super().__init__(message)
 
 
 class ConfigError(ThermactError, ValueError):

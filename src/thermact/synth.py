@@ -103,8 +103,7 @@ class ScriptKey:
     u: float
     x: float
     y: float
-    sigma_x: float
-    sigma_y: float
+    sigma: float
     amplitude: float
 
 
@@ -130,22 +129,20 @@ class ActivityScript:
         us = [k.u for k in self.keys]
         if us != sorted(us) or us[0] < 0 or us[-1] > 1:
             raise ValueError("key time fractions must be non-decreasing within [0, 1]")
+        lim = GRID_SIZE - 1
         for k in self.keys:
-            if k.sigma_x <= 0 or k.sigma_y <= 0:
+            if k.sigma <= 0:
                 raise ValueError(f"degenerate blob sigma at u={k.u}")
-            if not self.allow_offgrid:
-                lim = GRID_SIZE - 1
-                if not (-2 * k.sigma_x <= k.x <= lim + 2 * k.sigma_x) or not (
-                    -2 * k.sigma_y <= k.y <= lim + 2 * k.sigma_y
-                ):
-                    raise ValueError(f"blob path leaves the padded grid at u={k.u}")
+            pad = 2 * k.sigma
+            if not (self.allow_offgrid or (-pad <= k.x <= lim + pad and -pad <= k.y <= lim + pad)):
+                raise ValueError(f"blob path leaves the padded grid at u={k.u}")
 
     def sample(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(x, y, sigma_x, sigma_y, amplitude) arrays at time fractions u."""
+        """(x, y, sigma, amplitude) arrays at time fractions u."""
         u = np.asarray(u, dtype=np.float64)
         us = np.array([k.u for k in self.keys])
         channels = []
-        for attr in ("x", "y", "sigma_x", "sigma_y", "amplitude"):
+        for attr in ("x", "y", "sigma", "amplitude"):
             vals = np.array([getattr(k, attr) for k in self.keys])
             channels.append(np.interp(u, us, vals))
         return tuple(channels)
@@ -158,11 +155,11 @@ class ActivityScript:
 
 def blob_field(script: ActivityScript, u: np.ndarray) -> np.ndarray:
     """Noise-free blob contribution at pixel centers, shape (len(u), 64)."""
-    x, y, sx, sy, amp = script.sample(u)
-    cols = np.arange(GRID_SIZE, dtype=np.float64)
-    rows = np.arange(GRID_SIZE, dtype=np.float64)
-    dx2 = (cols[None, :] - x[:, None]) ** 2 / (2.0 * sx[:, None] ** 2)
-    dy2 = (rows[None, :] - y[:, None]) ** 2 / (2.0 * sy[:, None] ** 2)
+    x, y, sigma, amp = script.sample(u)
+    grid = np.arange(GRID_SIZE, dtype=np.float64)
+    spread = 2.0 * sigma[:, None] ** 2
+    dx2 = (grid[None, :] - x[:, None]) ** 2 / spread
+    dy2 = (grid[None, :] - y[:, None]) ** 2 / spread
     blob = amp[:, None, None] * np.exp(-(dy2[:, :, None] + dx2[:, None, :]))
     return blob.reshape(len(u), PIXEL_COUNT)
 
@@ -226,13 +223,6 @@ class SubjectProfile:
         )
 
 
-def _uniform_draw(rng: np.random.Generator | None):
-    """Uniform draws from `rng`, or the interval midpoint when rng is None."""
-    if rng is None:
-        return lambda lo, hi: (lo + hi) / 2.0
-    return lambda lo, hi: float(rng.uniform(lo, hi))
-
-
 def _still_script(label, draw, profile, duration):
     sit = label == "sit_still"
     sigma = (_SIT_SIGMA if sit else _STAND_SIGMA) + profile.sigma_shift + draw(-0.09, 0.09)
@@ -240,8 +230,8 @@ def _still_script(label, draw, profile, duration):
     cx = profile.center_x + draw(-0.35, 0.35)
     cy = profile.center_y + draw(-0.35, 0.35)
     keys = (
-        ScriptKey(0.0, cx, cy, sigma, sigma, amp),
-        ScriptKey(1.0, cx, cy, sigma, sigma, amp),
+        ScriptKey(0.0, cx, cy, sigma, amp),
+        ScriptKey(1.0, cx, cy, sigma, amp),
     )
     return ActivityScript(duration_s=duration, keys=keys)
 
@@ -266,9 +256,9 @@ def _transition_script(label, draw, profile, duration):
     mid_sigma = 0.82 * (start[0] + end[0]) / 2.0
     mid_amp = max(start[1], end[1]) + 0.45
     keys = (
-        ScriptKey(0.0, cx, cy, start[0], start[0], start[1]),
-        ScriptKey(0.45, cx + 0.6 * dx, cy + 0.6 * dy, mid_sigma, mid_sigma, mid_amp),
-        ScriptKey(1.0, cx + dx, cy + dy, end[0], end[0], end[1]),
+        ScriptKey(0.0, cx, cy, *start),
+        ScriptKey(0.45, cx + 0.6 * dx, cy + 0.6 * dy, mid_sigma, mid_amp),
+        ScriptKey(1.0, cx + dx, cy + dy, *end),
     )
     return ActivityScript(duration_s=duration, keys=keys)
 
@@ -282,9 +272,9 @@ def _fall_script(draw, profile, duration):
     amp0 = 6.3 + profile.amplitude_shift + draw(-0.15, 0.15)
     sigma0 = 0.8 + profile.sigma_shift + draw(-0.05, 0.05)
     keys = (
-        ScriptKey(0.0, cx, cy, sigma0, sigma0, amp0),
-        ScriptKey(0.4, cx + 0.55 * (ex - cx), cy + 0.55 * (ey - cy), 1.15, 1.15, amp0 - 0.7),
-        ScriptKey(1.0, ex, ey, 1.7 + profile.sigma_shift, 1.7 + profile.sigma_shift, 3.9 + profile.amplitude_shift),
+        ScriptKey(0.0, cx, cy, sigma0, amp0),
+        ScriptKey(0.4, cx + 0.55 * (ex - cx), cy + 0.55 * (ey - cy), 1.15, amp0 - 0.7),
+        ScriptKey(1.0, ex, ey, 1.7 + profile.sigma_shift, 3.9 + profile.amplitude_shift),
     )
     return ActivityScript(duration_s=duration, keys=keys, allow_offgrid=True)
 
@@ -302,24 +292,26 @@ def _walk_script(draw, profile, duration):
     amp1 = amp0 + 0.6
     span = x1 - x0
     keys = (
-        ScriptKey(0.0, x0, lane, sigma, sigma, amp0),
-        ScriptKey(0.3, x0 + 0.22 * span, lane, sigma, sigma, amp0 + 0.18),
-        ScriptKey(0.6, x0 + 0.55 * span, lane, sigma, sigma, amp0 + 0.38),
-        ScriptKey(1.0, x1, lane, sigma, sigma, amp1),
+        ScriptKey(0.0, x0, lane, sigma, amp0),
+        ScriptKey(0.3, x0 + 0.22 * span, lane, sigma, amp0 + 0.18),
+        ScriptKey(0.6, x0 + 0.55 * span, lane, sigma, amp0 + 0.38),
+        ScriptKey(1.0, x1, lane, sigma, amp1),
     )
     return ActivityScript(duration_s=duration, keys=keys)
 
 
 def builtin_scripts(
-    rng: np.random.Generator | None = None, profile: SubjectProfile | None = None
+    rng: np.random.Generator, profile: SubjectProfile | None = None
 ) -> dict[str, ActivityScript]:
-    """One script per built-in label, jittered from `rng` when given.
+    """One script per built-in label, jittered from `rng`.
 
     The two walk scripts share one parameter draw, so with the same rng state
     they are exact mirror images of each other.
     """
     profile = profile or SubjectProfile()
-    draw = _uniform_draw(rng)
+
+    def draw(lo, hi):
+        return float(rng.uniform(lo, hi))
 
     def dur(label):
         return DEFAULT_DURATIONS_S[label] * profile.speed_factor * draw(0.92, 1.08)
@@ -342,8 +334,8 @@ def builtin_scripts(
 def empty_scene_script(duration_s: float = 6.0) -> ActivityScript:
     """A zero-amplitude script: rendering it yields pure ambient + noise."""
     keys = (
-        ScriptKey(0.0, 3.5, 3.5, 1.0, 1.0, 0.0),
-        ScriptKey(1.0, 3.5, 3.5, 1.0, 1.0, 0.0),
+        ScriptKey(0.0, 3.5, 3.5, 1.0, 0.0),
+        ScriptKey(1.0, 3.5, 3.5, 1.0, 0.0),
     )
     return ActivityScript(duration_s=duration_s, keys=keys)
 

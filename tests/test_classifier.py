@@ -50,8 +50,7 @@ class TestTrain:
         pred, scores = predict_batch(model, X)
         assert pred == labels
         # decision boundary flips sign between the two points
-        neg_scores = model.decision_scores(np.array([-1.0]))
-        pos_scores = model.decision_scores(np.array([1.0]))
+        neg_scores, pos_scores = model.decision_scores(np.array([[-1.0], [1.0]]))
         assert neg_scores[0] > neg_scores[1] and pos_scores[1] > pos_scores[0]
 
     def test_seven_class_clusters_full_training_accuracy(self, clusters):
@@ -341,8 +340,8 @@ class TestNonFinite:
     def test_decision_scores_rejects(self, clusters):
         X, labels = clusters
         model = train(X, labels)
-        query = X[20].copy()
-        query[3] = np.nan
+        query = X[20:21].copy()
+        query[0, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             model.decision_scores(query)
         queries = X[:6].copy()
@@ -512,15 +511,24 @@ class TestPredict:
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.zeros(X.shape[1] + 1))
 
-    @pytest.mark.parametrize("shape", [(), (2, 3, 40), (1, 1, 40)])
+    @pytest.mark.parametrize("shape", [(), (2, 3, 40), (1, 1, 40), (40,)])
     def test_decision_scores_refuses_other_shapes(self, clusters, shape):
-        # Only a (D,) row or an (N, D) matrix is scored: a 0-d input once
-        # raised IndexError, and a 3-D input was scored as its rows.
+        # Only an (N, D) matrix is scored: a 0-d input once raised IndexError,
+        # and a 3-D input was scored as its rows. `predict` scores one row.
         X, labels = clusters
         model = train(X, labels)
         assert model.dimension == 40
-        with pytest.raises(ValueError, match=re.escape(f"(N, D) matrix, got {shape}")):
+        with pytest.raises(ValueError, match=re.escape(f"(N, D) matrix, got shape {shape}")):
             model.decision_scores(np.ones(shape))
+
+    def test_scores_own_their_data(self, clusters):
+        # A kept result must not keep a larger array alive, as a view of row 0
+        # of predict's (1, C) score matrix would.
+        X, labels = clusters
+        model = train(X, labels)
+        _, scores = predict(model, X[3])
+        assert scores.base is None and scores.shape == (7,)
+        assert model.decision_scores(X[:3]).base is None
 
 
 class TestInvariants:
@@ -537,8 +545,8 @@ class TestInvariants:
     def test_scores_affine_in_input(self, clusters, rng):
         X, labels = clusters
         model = train(X, labels)
-        x1 = rng.normal(0, 2, X.shape[1])
-        x2 = rng.normal(0, 2, X.shape[1])
+        x1 = rng.normal(0, 2, (1, X.shape[1]))
+        x2 = rng.normal(0, 2, (1, X.shape[1]))
         for alpha in (0.0, 0.25, 0.6, 1.0):
             mix = model.decision_scores(alpha * x1 + (1 - alpha) * x2)
             combo = alpha * model.decision_scores(x1) + (1 - alpha) * model.decision_scores(x2)

@@ -642,6 +642,13 @@ class TestMalformedSettings:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"manifest {manifest_path} is not valid JSON" in err
 
+    def test_manifest_not_json(self, tmp_path, capsys):
+        # One manifest problem is one line, as a config or model problem is.
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text("{")
+        assert main(["featurize", "--data", str(manifest_path)]) == 1
+        one_error_line(capsys, f"manifest {manifest_path} is not valid JSON")
+
     def test_unknown_model_config_section(self, corpus_dir, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         main(["train", "--data", str(corpus_dir / "manifest.json"), "--model", str(model_path)])

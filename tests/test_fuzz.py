@@ -277,14 +277,24 @@ NEAR_VALID_ENTRY = st.fixed_dictionaries(
 )
 def test_manifest(manifest_dir, value):
     path = write_json(manifest_dir / "manifest.json", value)
+    violations = []
     try:
         manifest = load_manifest(path)
     except ManifestError as exc:
         assert_names(exc, path)
+        violations = exc.violations
     else:
         assert isinstance(manifest, DatasetManifest)
         ids = [manifest.sensor_id] + [e.subject_id for e in manifest.entries]
         assert all(isinstance(i, str) for i in ids)
+    # The CLI reads the same manifest: an error line, or several for several problems.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["featurize", "--data", str(path), "--out", str(manifest_dir / "out.csv")])
+    err = err.getvalue()
+    assert code in (0, 1) and "Traceback" not in err, (code, err)
+    if code == 1 and len(violations) <= 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def read_json_file(kind, path):

@@ -24,7 +24,7 @@ from toy_data import toy_clusters
 
 
 def static_script(x=3.5, y=3.5, sigma=1.0, amp=6.0, duration=2.0):
-    keys = (ScriptKey(0.0, x, y, sigma, sigma, amp), ScriptKey(1.0, x, y, sigma, sigma, amp))
+    keys = (ScriptKey(0.0, x, y, sigma, amp), ScriptKey(1.0, x, y, sigma, amp))
     return ActivityScript(duration_s=duration, keys=keys)
 
 
@@ -58,7 +58,7 @@ class TestSceneParams:
 class TestActivityScript:
     def test_degenerate_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
-            ActivityScript(duration_s=1.0, keys=(ScriptKey(0.0, 3.5, 3.5, 0.0, 1.0, 5.0),))
+            ActivityScript(duration_s=1.0, keys=(ScriptKey(0.0, 3.5, 3.5, 0.0, 5.0),))
 
     @pytest.mark.parametrize(
         "duration, us, message",
@@ -72,12 +72,12 @@ class TestActivityScript:
         ],
     )
     def test_duration_and_key_rules(self, duration, us, message):
-        keys = tuple(ScriptKey(u, 3.5, 3.5, 1.0, 1.0, 5.0) for u in us)
+        keys = tuple(ScriptKey(u, 3.5, 3.5, 1.0, 5.0) for u in us)
         with pytest.raises(ValueError, match=message):
             ActivityScript(duration_s=duration, keys=keys)
 
     def test_offgrid_path_rejected_unless_allowed(self):
-        keys = (ScriptKey(0.0, 20.0, 3.5, 1.0, 1.0, 5.0),)
+        keys = (ScriptKey(0.0, 20.0, 3.5, 1.0, 5.0),)
         with pytest.raises(ValueError, match="grid"):
             ActivityScript(duration_s=1.0, keys=keys)
         ActivityScript(duration_s=1.0, keys=keys, allow_offgrid=True)
@@ -111,7 +111,7 @@ class TestRenderSequence:
 
     def test_walking_centroid_monotone(self):
         scene = SceneParams(noise_std=0.01, quantize_step=0.0)
-        script = builtin_scripts()["walk_left_right"]
+        script = builtin_scripts(np.random.default_rng(0))["walk_left_right"]
         seq = render_frames(scene, script, seed=3)[0]
         xs = []
         cols = np.array([i % 8 for i in range(64)], dtype=float)  # column per pixel
@@ -146,14 +146,14 @@ class TestRenderSequence:
 
 class TestBuiltinScripts:
     def test_seven_labels(self):
-        scripts = builtin_scripts()
+        scripts = builtin_scripts(np.random.default_rng(0))
         assert tuple(scripts) == ADL7_LABELS
 
     def test_fall_spreads_and_cools(self):
         for seed in range(5):
             script = builtin_scripts(np.random.default_rng(seed))["fall"]
             first, last = script.keys[0], script.keys[-1]
-            assert last.sigma_x > first.sigma_x
+            assert last.sigma > first.sigma
             assert last.amplitude < first.amplitude
             assert np.hypot(last.x - first.x, last.y - first.y) > 1.5
 
@@ -164,21 +164,15 @@ class TestBuiltinScripts:
             assert lr.duration_s == rl.duration_s
             for a, b in zip(lr.keys, rl.keys):
                 assert b.x == 7.0 - a.x
-                assert (b.u, b.y, b.sigma_x, b.sigma_y, b.amplitude) == (
-                    a.u,
-                    a.y,
-                    a.sigma_x,
-                    a.sigma_y,
-                    a.amplitude,
-                )
+                assert (b.u, b.y, b.sigma, b.amplitude) == (a.u, a.y, a.sigma, a.amplitude)
 
     def test_stills_overlap_in_spread(self):
         # the two still poses are deliberately confusable: jittered ranges meet
         sit, stand = [], []
         for seed in range(200):
             scripts = builtin_scripts(np.random.default_rng(seed), SubjectProfile.draw(np.random.default_rng(seed + 10_000)))
-            sit.append(scripts["sit_still"].keys[0].sigma_x)
-            stand.append(scripts["stand_still"].keys[0].sigma_x)
+            sit.append(scripts["sit_still"].keys[0].sigma)
+            stand.append(scripts["stand_still"].keys[0].sigma)
         assert min(sit) < max(stand)
         assert np.mean(sit) > np.mean(stand)
 

@@ -107,7 +107,8 @@ MUTANTS = (
         "core.label_set_distinct", "if len(set(label_set)) != len(label_set):", "if False:"
     ),
     Mutant("core.background_path_unique", "if bg.path in seen_paths:", "if False:"),
-    # core: reading and writing manifests.
+    # core: reading and writing manifests; one problem is one error line.
+    Mutant("core.manifest_one_line", "if len(self.violations) == 1:", "if False:"),
     Mutant("core.min_frames", "if len(seq) < min_frames:", "if False:"),
     Mutant(
         "core.manifest_unreadable",
@@ -124,6 +125,10 @@ MUTANTS = (
     Mutant("config.target_len", "self.target_len >= 1", "self.target_len >= 0"),
     Mutant("config.protocol", "if self.protocol not in PROTOCOLS:", "if False:"),
     Mutant("config.k", "self.k >= 2", "self.k >= 1"),
+    # classifier.SvmModel.decision_scores: features of the model's dimension.
+    Mutant("classifier.score_dimension", "if X.shape[1] != self.dimension:", "if False:"),
+    # classifier.predict: its scores own their data, keeping no (1, C) base alive.
+    Mutant("classifier.predict_owns_scores", "[0].copy()", "[0]"),
     # classifier.train: the labels must fit the rows and the class list.
     Mutant("classifier.train_label_count", "if len(labels) != X.shape[0]:", "if False:"),
     Mutant("classifier.train_unknown_labels", "if unknown:", "if False:"),
@@ -217,6 +222,12 @@ MUTANTS = (
     Mutant("synth.key_order", "if us != sorted(us) or", "if"),
     Mutant("synth.key_u_low", "or us[0] < 0", ""),
     Mutant("synth.key_u_high", "or us[-1] > 1", ""),
+    Mutant("synth.script_sigma", "if k.sigma <= 0:", "if False:"),
+    Mutant(
+        "synth.padded_grid",
+        "if not (self.allow_offgrid or (-pad <= k.x <= lim + pad and -pad <= k.y <= lim + pad)):",
+        "if False:",
+    ),
 )
 
 
