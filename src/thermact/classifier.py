@@ -26,8 +26,10 @@ objective moved by at most `tolerance` relative to the previous epoch's (or
 at `max_epochs`); its weights then freeze while the others go on. Most steps
 violate no class's margin; a step whose sample's lowest margin, estimated
 from the last margin matrix and the shrinks since, clears 1 by more than its
-rounding bound only shrinks the weights and skips the margin product. The
-weights equal those of training the classes one at a time, bit for bit.
+rounding bound only shrinks the weights and skips the margin product. An
+epoch's objectives read the same kept margin matrix, scaled by the shrinks
+since it was taken. The weights equal those of training the classes one at
+a time, bit for bit.
 
 Non-finite features are refused in training and in prediction, and so are
 non-finite scores (a loaded model's weights may overflow on finite
@@ -149,18 +151,23 @@ def _train_ovr(
     stop matches training the classes one at a time, bit for bit.
 
     Most steps violate no margin, so a step first checks an estimate: the
-    lowest margin of its sample over the active classes, read from the last
-    margin matrix `Ya * (Wa @ Zb.T)` (taken at each epoch's end and after
-    each update), times the product of the shrink factors applied since.
-    Rounding is monotone and the factors are non-negative, so the estimate
-    is no larger than any active class's scaled margin, and that differs
-    from the class's one-class margin by at most (2n + 2s + 1)*u*|w||z|:
-    n each from the matrix product and the one-class dot product, s each
-    from the s <= m shrinks of the weights and of their running product,
-    and one from scaling the estimate. That is below
-    `tie` = slack * (1 + wmax * |z|). A step whose estimate is at
-    least 1 + tie therefore violates no margin and only shrinks the weights;
-    every other step is taken exactly as above.
+    lowest margin of its sample over the active classes in the kept margin
+    matrix M = `Ya * (Wa @ Zb.T)`, times the product `scale` of the shrink
+    factors applied since M was taken; an epoch's objectives read their
+    margins as `scale * M` too. M is taken again (a refresh) after each
+    update, and at an epoch end once more than max(n, m) shrinks have passed
+    since the last refresh, so s <= max(n, m) + m shrinks lie between M and
+    a margin read from it. Rounding is monotone and the factors are
+    non-negative, so the estimate is no larger than any active class's
+    scaled margin, and that differs from the one-class margin by at most
+    (2n + 2s + 1)*u*|w||z|: n each from the matrix product and the one-class
+    dot product, s each from the shrinks of the weights and of `scale`, and
+    one from the scaling, where |w| <= `wref`, the bound `wmax` when M was
+    taken. That is below `tie` = slack * (1 + wref * |z|), as slack =
+    16*max(n, m)*u, and an epoch's `err` uses max(wmax, wref). A step whose
+    estimate is at least 1 + tie only shrinks the weights; every other step
+    is taken exactly as above. The refresh at an epoch end only keeps s
+    within the bound; no weight bit shows it.
     """
     C, m = Y.shape
     lam = 1.0 / (cfg.regularization_c * m)
@@ -170,7 +177,8 @@ def _train_ovr(
         )
     tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
-    slack = 8.0 * max(Zb.shape[1], m) * np.finfo(np.float64).eps
+    shrinks_max = max(Zb.shape[1], m)  # an epoch end refreshes M after more shrinks than this
+    slack = 8.0 * shrinks_max * np.finfo(np.float64).eps
     ZbT = Zb.T
     znorm = np.sqrt(np.einsum("ij,ij->i", Zb, Zb)).tolist()
     zmax = max(znorm)
@@ -178,13 +186,13 @@ def _train_ovr(
     epochs = [cfg.max_epochs] * C
     converged = [False] * C
     active = list(range(C))
-    Wa, Ya = W.copy(), Y
+    Wa, Ya, YaT = W.copy(), Y, Y.T.tolist()
     wmax = 0.0  # bounds the norm of every active row of Wa
-    low, scale = [0.0] * m, 1.0  # each sample's lowest margin, and the shrinks since
+    # The kept margin matrix, its column minima, the shrinks since, and wmax and t when taken.
+    M, low, scale, wref, t_ref = np.zeros((C, m)), [0.0] * m, 1.0, 0.0, 0
     t = 0
     prev_obj = prev_err = W_prev = None
     for epoch in range(1, cfg.max_epochs + 1):
-        YaT = Ya.T
         for i in rng.permutation(m).tolist():
             t += 1
             eta = 1.0 / (lam * t)
@@ -192,30 +200,33 @@ def _train_ovr(
             Wa *= shrink
             scale *= shrink
             zn = znorm[i]
-            tie = slack * (1.0 + wmax * zn)
+            tie = slack * (1.0 + wref * zn)
             if scale * low[i] >= 1.0 + tie:
                 continue
             z, y = Zb[i], YaT[i]
-            margins = y * (Wa @ z)
-            viol = (margins < 1.0 + tie).nonzero()[0]
-            if viol.size and margins[viol].max() >= 1.0 - tie:
-                viol = np.array([k for k in viol if y[k] * (z @ Wa[k]) < 1.0], dtype=np.intp)
-            if viol.size:
-                Wa[viol] += (eta * y[viol])[:, None] * z
+            margins = [yk * mk for yk, mk in zip(y, (Wa @ z).tolist())]
+            below = [k for k, mk in enumerate(margins) if mk < 1.0 + tie]
+            viol = [k for k in below if margins[k] < 1.0 - tie or y[k] * (z @ Wa[k]) < 1.0]
+            if viol:
+                for k in viol:
+                    Wa[k] += (eta * y[k]) * z
                 wmax += eta * zn
-                low, scale = (Ya * (Wa @ ZbT)).min(axis=0).tolist(), 1.0
-        M = Ya * (Wa @ ZbT)
-        hinge = np.maximum(0.0, 1.0 - M)
+                M = Ya * (Wa @ ZbT)
+                low, scale, wref, t_ref = M.min(axis=0).tolist(), 1.0, wmax, t
+        if t - t_ref > shrinks_max:
+            M = Ya * (Wa @ ZbT)
+            low, scale, wref, t_ref = M.min(axis=0).tolist(), 1.0, wmax, t
+        hinge = np.maximum(0.0, 1.0 - scale * M)
         sq = np.einsum("cd,cd->c", Wa, Wa).tolist()
-        mean_hinge = (np.add.reduce(hinge, axis=1) / m).tolist()  # the bits of mean(axis=1)
-        obj = [0.5 * lam * s + h for s, h in zip(sq, mean_hinge)]
+        hinge_sum = np.add.reduce(hinge, axis=1).tolist()
+        obj = [0.5 * lam * s + h / m for s, h in zip(sq, hinge_sum)]  # h / m: the bits of mean()
         wmax = math.sqrt(max(sq))
-        err = slack * (1.0 + 2.0 * max(obj) + wmax * zmax)
+        err = slack * (1.0 + 2.0 * max(obj) + max(wmax, wref) * zmax)
         if prev_obj is not None:
-            stop = []
+            stop, near = [], (1.0 + tol) * (prev_err + err)
             for k, (before, after) in enumerate(zip(prev_obj, obj)):
                 gap = abs(before - after) - tol * max(1.0, abs(before))
-                if abs(gap) <= (1.0 + tol) * (prev_err + err):
+                if abs(gap) <= near:
                     before = _objective(W_prev[k], Zb, Ya[k], lam)
                     after = _objective(Wa[k], Zb, Ya[k], lam)
                     gap = abs(before - after) - tol * max(1.0, abs(before))
@@ -230,10 +241,10 @@ def _train_ovr(
                 keep = [k for k in range(len(active)) if k not in stop]
                 active = [active[k] for k in keep]
                 Wa, Ya, M = Wa[keep], Ya[keep], M[keep]
-                obj = [obj[k] for k in keep]
                 if not active:
                     break
-        low, scale = M.min(axis=0).tolist(), 1.0
+                YaT, low = Ya.T.tolist(), M.min(axis=0).tolist()
+                obj = [obj[k] for k in keep]
         prev_obj, prev_err, W_prev = obj, err, Wa.copy()
     W[active] = Wa
     objectives = [_objective(W[c], Zb, Y[c], lam) for c in range(C)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -115,6 +116,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # parsing does not change a parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermact",

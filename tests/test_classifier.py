@@ -156,6 +156,36 @@ def corpus_features(tmp_path_factory):
     return manifest, X, np.array(labels)
 
 
+def margin_products(monkeypatch, X, labels, cfg, classes):
+    """How many times `train` took the margin matrix `Wa @ Zb.T` of all samples.
+
+    Training takes it after each updating step and at the epoch ends that
+    refresh it, and multiplies by the transposed feature matrix nowhere else.
+    """
+    products = []
+
+    class Products(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[1] is self and self.ndim == 2:
+                products.append(self.shape)
+            inputs = [x.view(np.ndarray) if isinstance(x, Products) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    train_ovr = classifier._train_ovr
+    monkeypatch.setattr(classifier, "_train_ovr", lambda Zb, Y, c: train_ovr(Zb.view(Products), Y, c))
+    train(X, labels, cfg, classes=classes)
+    return len(products)
+
+
+@pytest.fixture(scope="module")
+def timed_corpus_features(tmp_path_factory):
+    """2 subjects x 1 session: the shape of each corpus a timed benchmark evaluate runs."""
+    out = tmp_path_factory.mktemp("timed_corpus")
+    manifest = load_manifest(generate_corpus(out, subjects=2, reps=1, seed=5).manifest_path)
+    X, labels = prepare_features(manifest, 20, FeatureConfig())
+    return manifest, X, np.array(labels)
+
+
 class TestLockstepMatchesPerClass:
     @pytest.mark.parametrize("protocol", ["loso", "kfold10"])
     def test_every_fold(self, corpus_features, protocol):
@@ -245,6 +275,37 @@ class TestLockstepMatchesPerClass:
         assert len(set(epochs)) > 1
         assert exact_steps(monkeypatch, X, labels, cfg, classes) == len(updates)
         assert_matches_per_class(X, labels, cfg, classes)
+
+    def test_every_fold_at_the_timed_shape(self, timed_corpus_features):
+        # m = 7 per fold, and most classes run all max_epochs: the epoch ends
+        # outnumber the updates, so most objectives read the kept margins.
+        manifest, X, labels = timed_corpus_features
+        cfg = SvmConfig()
+        for train_idx, _ in loso_split(manifest):
+            X_fold, labels_fold = X[train_idx], labels[train_idx]
+            updates = set()
+            train_per_class(X_fold, labels_fold, cfg, manifest.label_set, updates)
+            with pytest.MonkeyPatch.context() as mp:
+                assert exact_steps(mp, X_fold, labels_fold, cfg, manifest.label_set) == len(updates)
+            model = assert_matches_per_class(X_fold, labels_fold, cfg, manifest.label_set)
+            assert model.epochs.count(cfg.max_epochs) > len(model.epochs) // 2
+
+    def test_margins_refreshed_at_epoch_ends(self):
+        # Separable clusters at n = 3, m = 6 with no class converging: stretches
+        # of more than max(n, m) shrinks pass without an update, so some epoch
+        # ends take the margin matrix again. Every other product follows an
+        # update, one per exact step.
+        X, labels = toy_clusters(2, 3, 2, seed=0)
+        classes = ("class_0", "class_1")
+        cfg = SvmConfig(tolerance=1e-300, max_epochs=60)
+        updates = set()
+        train_per_class(X, labels, cfg, classes, updates)
+        with pytest.MonkeyPatch.context() as mp:
+            assert exact_steps(mp, X, labels, cfg, classes) == len(updates)
+        with pytest.MonkeyPatch.context() as mp:
+            assert margin_products(mp, X, labels, cfg, classes) > len(updates)
+        model = assert_matches_per_class(X, labels, cfg, classes)
+        assert model.epochs == (60, 60)
 
     def test_tolerance_on_an_epochs_own_change(self, clusters):
         # Tolerance equal to the relative objective change of a record-low

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thermact.cli import main
+from thermact.cli import build_parser, main
 from thermact.core import ThermactError, load_manifest
 from thermact.evaluate import prepare_features
 
@@ -518,6 +518,16 @@ class TestUsability:
 
     def test_no_command_usage_error(self):
         assert main([]) == 2
+
+    def test_one_parser_serves_every_call(self, tiny_corpus_dir, tmp_path):
+        # The parser is built once per process: a usage error, then two
+        # evaluate calls on it, must behave as on fresh parsers.
+        assert build_parser() is build_parser()
+        assert main(["evaluate"]) == 2
+        data = str(tiny_corpus_dir / "manifest.json")
+        for name in ("a.json", "b.json"):
+            assert main(["evaluate", "--data", data, "--report", str(tmp_path / name)]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 # Nested deeper than the JSON decoder's recursion limit.

@@ -132,6 +132,14 @@ MUTANTS = (
     # classifier.train: the labels must fit the rows and the class list.
     Mutant("classifier.train_label_count", "if len(labels) != X.shape[0]:", "if False:"),
     Mutant("classifier.train_unknown_labels", "if unknown:", "if False:"),
+    # classifier._train_ovr: a step the estimate clears only shrinks, an
+    # epoch's objectives scale the kept margins by the shrinks since, and an
+    # epoch end refreshes them after max(n, m) shrinks. Skipping and the
+    # refresh leave every weight bit as it is; the exact-step and
+    # margin-product counts see them.
+    Mutant("classifier.skip_never", "if scale * low[i] >= 1.0 + tie:", "if False:"),
+    Mutant("classifier.epoch_estimate_scale", "1.0 - scale * M", "1.0 - M"),
+    Mutant("classifier.epoch_refresh", "if t - t_ref > shrinks_max:", "if False:"),
     # classifier.load_model: every check on a model file.
     Mutant(
         "classifier.model_unreadable",
