@@ -36,7 +36,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _effective_config(args: argparse.Namespace) -> PipelineConfig:
     config = from_json_file(PipelineConfig, args.config) if args.config else PipelineConfig()
-    overrides = {key: getattr(args, key) for key, _ in _OVERRIDE_FLAGS if hasattr(args, key)}
+    overrides = {key: getattr(args, key) for key, _ in _OVERRIDE_FLAGS}
     return apply_overrides(config, overrides)
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import typing
 from dataclasses import asdict, dataclass, field, fields
 
-from .core import GRID_SIZE, from_json
+from .core import GRID_SIZE, _type_hints, from_json
 
 PROTOCOLS = ("loso", "kfold")
 DEFAULT_TARGET_LEN = 20  # frames per recording after resampling
@@ -107,7 +106,7 @@ def config_keys() -> list[tuple[str, type]]:
     keys = []
     for section in fields(PipelineConfig):
         cls = section.default_factory
-        hints = typing.get_type_hints(cls)
+        hints = _type_hints(cls)
         keys += [(f"{section.name}.{f.name}", hints[f.name]) for f in fields(cls)]
     return keys
 

@@ -237,7 +237,7 @@ def parse_sequence(source: bytes | str) -> ThermalSequence:
         try:
             text = source.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = len(_lines(source[: exc.start]))
+            line = len(_lines(source[: exc.start].decode("utf-8")))
             raise SequenceFormatError(f"line {line}: not UTF-8 text ({exc.reason})") from None
     else:
         text = source
@@ -286,10 +286,9 @@ def _ascii_number(field: str) -> float:
     return float(field)
 
 
-def _lines(text):
-    """`text` (str or bytes) split at LF, CRLF and CR only, unlike `splitlines`."""
-    nl, cr = ("\n", "\r") if isinstance(text, str) else (b"\n", b"\r")
-    return text.replace(cr + nl, nl).replace(cr, nl).split(nl)
+def _lines(text: str) -> list[str]:
+    """`text` split at LF, CRLF and CR only, unlike `splitlines`."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def read_sequence(path: str | Path) -> ThermalSequence:

@@ -84,17 +84,15 @@ def confusion_from_records(
     return ConfusionMatrix(labels=tuple(labels), counts=counts)
 
 
-def fall_metrics(
-    confusion: ConfusionMatrix, fall_label: str = FALL_LABEL
-) -> tuple[float | None, float | None]:
+def fall_metrics(confusion: ConfusionMatrix) -> tuple[float | None, float | None]:
     """(sensitivity, specificity) of the fall-vs-everything binarization.
 
     Sensitivity = TP/(TP+FN), specificity = TN/(TN+FP); either is None when
     its denominator is zero.
     """
-    if fall_label not in confusion.labels:
-        raise ValueError(f"label {fall_label!r} not in confusion matrix")
-    i = confusion.labels.index(fall_label)
+    if FALL_LABEL not in confusion.labels:
+        raise ValueError(f"label {FALL_LABEL!r} not in confusion matrix")
+    i = confusion.labels.index(FALL_LABEL)
     counts = confusion.counts
     tp = int(counts[i, i])
     fn = int(counts[i].sum()) - tp
@@ -112,17 +110,10 @@ def fall_metrics(
 
 def loso_split(manifest: DatasetManifest) -> list[Fold]:
     """One fold per subject: that subject's sequences form the test set."""
-    subjects = sorted({e.subject_id for e in manifest.entries})
+    subjects, rank = np.unique([e.subject_id for e in manifest.entries], return_inverse=True)
     if len(subjects) < 2:
         raise ValueError("leave-one-subject-out needs at least 2 subjects")
-    all_idx = np.arange(len(manifest.entries))
-    by_subject = np.array([e.subject_id for e in manifest.entries])
-    folds = []
-    for subject in subjects:
-        test = all_idx[by_subject == subject]
-        train = all_idx[by_subject != subject]
-        folds.append((train, test))
-    return folds
+    return _partition(rank, len(subjects))
 
 
 def stratified_kfold_split(
@@ -148,7 +139,12 @@ def stratified_kfold_split(
         shuffled = rng.permutation(members)
         for pos, idx in enumerate(shuffled):
             fold_of[idx] = (pos + ci) % k
-    all_idx = np.arange(len(labels))
+    return _partition(fold_of, k)
+
+
+def _partition(fold_of: np.ndarray, k: int) -> list[Fold]:
+    """Fold f tests the entries with `fold_of == f` and trains on all others."""
+    all_idx = np.arange(len(fold_of))
     return [(all_idx[fold_of != f], all_idx[fold_of == f]) for f in range(k)]
 
 

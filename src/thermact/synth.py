@@ -165,7 +165,10 @@ def blob_field(script: ActivityScript, u: np.ndarray) -> np.ndarray:
 
 
 def frame_times(scene: SceneParams, script: ActivityScript) -> np.ndarray:
-    n = max(1, round(script.duration_s * scene.frame_rate_hz))
+    frames = script.duration_s * scene.frame_rate_hz
+    if frames == np.inf:
+        raise ValueError(f"frame_rate_hz {scene.frame_rate_hz!r} overflows the frame count")
+    n = max(1, round(frames))
     return np.arange(n) / scene.frame_rate_hz
 
 
@@ -366,6 +369,9 @@ def generate_corpus(
     """
     if subjects < 1 or reps < 1:
         raise ValueError("subjects and reps must be >= 1")
+    for name, streams in (("subjects", subjects + 1), ("reps", 1 + reps * len(ADL7_LABELS))):
+        if streams > np.iinfo(np.intp).max:  # SeedSequence.spawn counts in a C ssize_t
+            raise ValueError(f"{name} too large: needs {streams} random streams")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     scene = scene or SceneParams()

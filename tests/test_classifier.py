@@ -127,7 +127,7 @@ def assert_matches_per_class(X, labels, cfg, classes):
     return model
 
 
-def exact_steps(monkeypatch, X, labels, cfg, classes):
+def exact_steps(X, labels, cfg, classes):
     """How many steps of `train` took the exact path rather than only shrinking.
 
     An exact step is the only place training reads one sample's row of the
@@ -142,8 +142,9 @@ def exact_steps(monkeypatch, X, labels, cfg, classes):
             return super().__getitem__(key)
 
     train_ovr = classifier._train_ovr
-    monkeypatch.setattr(classifier, "_train_ovr", lambda Zb, Y, c: train_ovr(Zb.view(RowReads), Y, c))
-    train(X, labels, cfg, classes=classes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "_train_ovr", lambda Zb, Y, c: train_ovr(Zb.view(RowReads), Y, c))
+        train(X, labels, cfg, classes=classes)
     return len(reads)
 
 
@@ -156,7 +157,7 @@ def corpus_features(tmp_path_factory):
     return manifest, X, np.array(labels)
 
 
-def margin_products(monkeypatch, X, labels, cfg, classes):
+def margin_products(X, labels, cfg, classes):
     """How many times `train` took the margin matrix `Wa @ Zb.T` of all samples.
 
     Training takes it after each updating step and at the epoch ends that
@@ -172,8 +173,9 @@ def margin_products(monkeypatch, X, labels, cfg, classes):
             return getattr(ufunc, method)(*inputs, **kwargs)
 
     train_ovr = classifier._train_ovr
-    monkeypatch.setattr(classifier, "_train_ovr", lambda Zb, Y, c: train_ovr(Zb.view(Products), Y, c))
-    train(X, labels, cfg, classes=classes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "_train_ovr", lambda Zb, Y, c: train_ovr(Zb.view(Products), Y, c))
+        train(X, labels, cfg, classes=classes)
     return len(products)
 
 
@@ -263,7 +265,7 @@ class TestLockstepMatchesPerClass:
             ((4, 8, 5, 2.0, 2.0, 3), SvmConfig(max_epochs=60)),
         ],
     )
-    def test_exact_steps_are_the_updating_steps(self, monkeypatch, shape, cfg):
+    def test_exact_steps_are_the_updating_steps(self, shape, cfg):
         # Classes leave the active set at different epochs (in the last case
         # one runs to max_epochs), so the estimate must follow the active rows.
         # With no margin near 1.0, exactly the steps that update some class
@@ -273,8 +275,19 @@ class TestLockstepMatchesPerClass:
         updates = set()
         *_, epochs, _, _ = train_per_class(X, labels, cfg, classes, updates)
         assert len(set(epochs)) > 1
-        assert exact_steps(monkeypatch, X, labels, cfg, classes) == len(updates)
+        assert exact_steps(X, labels, cfg, classes) == len(updates)
         assert_matches_per_class(X, labels, cfg, classes)
+
+    def test_exact_steps_counts_each_call_alone(self, clusters):
+        # The helper patches `_train_ovr` and puts it back itself, so a second
+        # count wraps the real function, not the first count's wrapper.
+        X, labels = clusters
+        classes = tuple(sorted(set(labels)))
+        train_ovr = classifier._train_ovr
+        first = exact_steps(X, labels, SvmConfig(), classes)
+        assert first > 0
+        assert exact_steps(X, labels, SvmConfig(), classes) == first
+        assert classifier._train_ovr is train_ovr
 
     def test_every_fold_at_the_timed_shape(self, timed_corpus_features):
         # m = 7 per fold, and most classes run all max_epochs: the epoch ends
@@ -285,8 +298,7 @@ class TestLockstepMatchesPerClass:
             X_fold, labels_fold = X[train_idx], labels[train_idx]
             updates = set()
             train_per_class(X_fold, labels_fold, cfg, manifest.label_set, updates)
-            with pytest.MonkeyPatch.context() as mp:
-                assert exact_steps(mp, X_fold, labels_fold, cfg, manifest.label_set) == len(updates)
+            assert exact_steps(X_fold, labels_fold, cfg, manifest.label_set) == len(updates)
             model = assert_matches_per_class(X_fold, labels_fold, cfg, manifest.label_set)
             assert model.epochs.count(cfg.max_epochs) > len(model.epochs) // 2
 
@@ -300,10 +312,8 @@ class TestLockstepMatchesPerClass:
         cfg = SvmConfig(tolerance=1e-300, max_epochs=60)
         updates = set()
         train_per_class(X, labels, cfg, classes, updates)
-        with pytest.MonkeyPatch.context() as mp:
-            assert exact_steps(mp, X, labels, cfg, classes) == len(updates)
-        with pytest.MonkeyPatch.context() as mp:
-            assert margin_products(mp, X, labels, cfg, classes) > len(updates)
+        assert exact_steps(X, labels, cfg, classes) == len(updates)
+        assert margin_products(X, labels, cfg, classes) > len(updates)
         model = assert_matches_per_class(X, labels, cfg, classes)
         assert model.epochs == (60, 60)
 

@@ -622,6 +622,27 @@ class TestMalformedSettings:
         one_error_line(capsys, "seed must be >= 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [str(2**63), "99999999999999999999"])
+    @pytest.mark.parametrize("flag", ["--subjects", "--reps"])
+    def test_count_too_large_to_seed(self, tmp_path, capsys, flag, count):
+        # Each subject and each recording gets its own seed stream, and
+        # SeedSequence.spawn counts streams in a C ssize_t: an OverflowError
+        # there would escape as a traceback.
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out), flag, count]) == 1
+        one_error_line(capsys, f"{flag[2:]} too large")
+        assert not out.exists()
+
+    def test_frame_rate_overflows_the_frame_count(self, tmp_path, capsys):
+        # A finite rate whose frame count is inf: round(inf) raises OverflowError.
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text('{"frame_rate_hz": 1e308}')
+        out = tmp_path / "out"
+        args = ["generate", "--out", str(out), "--subjects", "1", "--reps", "1"]
+        assert main(args + ["--scene", str(scene_path)]) == 1
+        one_error_line(capsys, "frame_rate_hz")
+        assert not (out / "background.csv").exists()
+
     @pytest.mark.parametrize(
         "content",
         [pytest.param(DEEP_JSON.encode(), id="nested-too-deep"), pytest.param(b"\xff{}", id="not-utf8")],

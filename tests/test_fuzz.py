@@ -349,7 +349,7 @@ FLAG_TOKENS = {
     float: ["1", "0.5", "1e-4", "10", "0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "x"],
     str: ["loso", "kfold", "x", ""],
 }
-GENERATE_TOKENS = ["0", "1", "2", "-1", "x", "1.5"]
+GENERATE_TOKENS = ["0", "1", "2", "-1", "x", "1.5", "99999999999999999999"]
 CONFIG_FLAGS = st.sampled_from(config_keys()).flatmap(
     lambda kt: st.tuples(st.just(f"--{kt[0]}"), st.sampled_from(FLAG_TOKENS[kt[1]]))
 )

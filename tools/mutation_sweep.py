@@ -36,7 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The tests that check each module. core's JSON number rule is tested through
 # config, core and classifier read files, which test_fuzz.py exercises, and
-# test_cli.py checks the error line of a file that cannot be read.
+# test_cli.py checks the error line of a file that cannot be read and of a
+# corpus too large to generate.
 TESTS = {
     "core": (
         "tests/test_core.py", "tests/test_config.py", "tests/test_fuzz.py", "tests/test_cli.py"
@@ -45,7 +46,7 @@ TESTS = {
     "config": ("tests/test_config.py",),
     "preprocess": ("tests/test_preprocess.py",),
     "evaluate": ("tests/test_evaluate.py",),
-    "synth": ("tests/test_synth.py",),
+    "synth": ("tests/test_synth.py", "tests/test_cli.py"),
 }
 
 # A mutant whose tests run longer than this is counted as killed (it hangs).
@@ -198,11 +199,6 @@ MUTANTS = (
     Mutant("preprocess.target_guard", "if target_len < 1:", "if target_len < 0:"),
     # evaluate: the two splitters.
     Mutant("evaluate.loso_two_subjects", "if len(subjects) < 2:", "if len(subjects) < 1:"),
-    Mutant(
-        "evaluate.loso_test_is_the_subject",
-        "train = all_idx[by_subject != subject]",
-        "train = all_idx",
-    ),
     Mutant("evaluate.kfold_k", "if k < 2:", "if k < 1:"),
     Mutant("evaluate.kfold_rotation", "fold_of[idx] = (pos + ci) % k", "fold_of[idx] = pos % k"),
     Mutant("evaluate.kfold_shuffle", "shuffled = rng.permutation(members)", "shuffled = members"),
@@ -215,6 +211,12 @@ MUTANTS = (
         "evaluate.kfold_deficient_class",
         "if members.size and members.size < k:",
         "if members.size and members.size < k - 1:",
+    ),
+    # evaluate._partition: both splitters' folds train on all but their test set.
+    Mutant(
+        "evaluate.partition_train_excludes_test",
+        "(all_idx[fold_of != f], all_idx[fold_of == f])",
+        "(all_idx, all_idx[fold_of == f])",
     ),
     # evaluate.ConfusionMatrix: a square count matrix of non-negative counts.
     Mutant(
@@ -236,6 +238,10 @@ MUTANTS = (
         "if not (self.allow_offgrid or (-pad <= k.x <= lim + pad and -pad <= k.y <= lim + pad)):",
         "if False:",
     ),
+    # synth: generate refuses counts and rates it cannot seed or count.
+    Mutant("synth.subjects_seed_limit", '("subjects", subjects + 1)', '("subjects", 0)'),
+    Mutant("synth.reps_seed_limit", '("reps", 1 + reps * len(ADL7_LABELS))', '("reps", 0)'),
+    Mutant("synth.frame_count_limit", "if frames == np.inf:", "if False:"),
 )
 
 
