@@ -335,20 +335,19 @@ def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
     return labels, scores
 
 
-def save_model(model: SvmModel, path: str | Path, config: PipelineConfig | None = None) -> None:
+def save_model(model: SvmModel, path: str | Path, config: PipelineConfig) -> None:
     """Write a model as versioned JSON at full float precision.
 
-    `config` is the embedded pipeline config, so prediction can reproduce
-    preprocessing (default: the default pipeline with the model's SVM settings).
+    `config` is the pipeline that trained the model, embedded so prediction
+    reproduces its preprocessing; its `svm` must be the model's own.
     """
+    if config.svm != model.train_config:
+        raise ValueError("config.svm is not the config the model was trained with")
     payload = {
         "version": MODEL_FORMAT_VERSION,
         "classes": list(model.classes),
-        "weights": [list(row) for row in model.weights],
-        "biases": list(model.biases),
-        "scaler_mean": list(model.scaler_mean),
-        "scaler_std": list(model.scaler_std),
-        "config": (config or PipelineConfig(svm=model.train_config)).to_dict(),
+        **{key: getattr(model, key).tolist() for key in ARRAY_KEYS},
+        "config": config.to_dict(),
     }
     try:
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
@@ -373,7 +372,7 @@ def load_model(path: str | Path) -> tuple[SvmModel, PipelineConfig]:
             f"{path}: unsupported model version {version!r} (expected {MODEL_FORMAT_VERSION})"
         )
     try:
-        config = from_json(PipelineConfig, data.get("config", {}), f"{path}: config")
+        config = from_json(PipelineConfig, data["config"], f"{path}: config")
         classes = data["classes"]
         arrays = [np.array(data[key], dtype=object) for key in ARRAY_KEYS]
     except ConfigError as exc:

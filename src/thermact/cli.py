@@ -105,8 +105,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     try:
         labels, scores = predict_batch(model, X)
     except ValueError as exc:
-        # Row k is file k; a dimension mismatch is every file's, so name the first.
-        path = args.sequences[exc.row if isinstance(exc, RowError) else 0]
+        # Row k is file k; the features follow the model's own config, so a
+        # dimension mismatch is the model file's fault.
+        path = args.sequences[exc.row] if isinstance(exc, RowError) else args.model
         raise ThermactError(f"{path}: {exc}") from exc
     for path, label, row in zip(args.sequences, labels, scores.tolist()):
         line = f"{path}\t{label}"

@@ -312,7 +312,7 @@ def serialize_sequence(seq: ThermalSequence) -> str:
     bits, inverse = np.unique(seq.pixels.view(np.int64).ravel(), return_inverse=True)
     texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     cells = texts[inverse.reshape(seq.pixels.shape)].tolist()
-    lines = ["# timestamp_ms," + ",".join(f"p{r}{c}" for r in range(8) for c in range(8))]
+    lines = ["# timestamp_ms," + ",".join(f"p{r}{c}" for r, c in np.ndindex(GRID_SIZE, GRID_SIZE))]
     for stamp, row in zip(seq.timestamps_ms.tolist(), cells):
         lines.append(str(stamp) + "," + ",".join(row))
     return "\n".join(lines) + "\n"

@@ -116,9 +116,7 @@ def loso_split(manifest: DatasetManifest) -> list[Fold]:
     return _partition(rank, len(subjects))
 
 
-def stratified_kfold_split(
-    manifest: DatasetManifest, k: int, seed: int = 42
-) -> list[Fold]:
+def stratified_kfold_split(manifest: DatasetManifest, k: int, seed: int) -> list[Fold]:
     """k folds with per-class counts balanced to within one.
 
     Each class's indices are shuffled (deterministically from `seed`) and

@@ -357,9 +357,9 @@ class CorpusSummary:
 
 def generate_corpus(
     out_dir: str | Path,
-    subjects: int = 8,
-    reps: int = 3,
-    seed: int = 42,
+    subjects: int,
+    reps: int,
+    seed: int,
     scene: SceneParams | None = None,
 ) -> CorpusSummary:
     """Write a labeled corpus: frame CSVs, a background clip, manifest JSON.
@@ -375,23 +375,15 @@ def generate_corpus(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     scene = scene or SceneParams()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     root_ss = np.random.SeedSequence(seed)
     children = root_ss.spawn(subjects + 1)
-    clamped = 0
-
-    def write(name: str, script: ActivityScript, rng: np.random.Generator, min_frames: int):
-        """Render `script` and write it to `name`; count its clamped values."""
-        nonlocal clamped
-        seq, c = render_frames(scene, script, rng)
-        clamped += c
-        if len(seq) < min_frames:
-            raise ValueError(f"{name}: has {len(seq)} frames, needs at least {min_frames}")
-        write_sequence(seq, out / name)
-
-    write("background.csv", empty_scene_script(), np.random.default_rng(children[0]), 1)
+    # Rendered before the directory is made, so a scene that cannot render leaves none.
+    background, clamped = render_frames(
+        scene, empty_scene_script(), np.random.default_rng(children[0])
+    )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_sequence(background, out / "background.csv")
 
     entries = []
     for si in range(1, subjects + 1):
@@ -407,7 +399,13 @@ def generate_corpus(
                 inst += 1
                 script = builtin_scripts(rng, profile)[label]
                 name = f"{session_id}_{label}.csv"
-                write(name, script, rng, MIN_ACTIVITY_FRAMES)
+                seq, c = render_frames(scene, script, rng)
+                clamped += c
+                if len(seq) < MIN_ACTIVITY_FRAMES:
+                    raise ValueError(
+                        f"{name}: has {len(seq)} frames, needs at least {MIN_ACTIVITY_FRAMES}"
+                    )
+                write_sequence(seq, out / name)
                 entries.append(
                     ManifestEntry(path=name, label=label, subject_id=subject_id, session_id=session_id)
                 )

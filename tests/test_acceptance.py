@@ -113,7 +113,7 @@ def test_criterion_3_svm_oracle(tmp_path):
     assert np.array_equal(model.biases, retrained.biases)
 
     path = tmp_path / "model.json"
-    save_model(model, path)
+    save_model(model, path, PipelineConfig(svm=cfg))
     loaded, _ = load_model(path)
     queries = np.random.default_rng(0).normal(0.0, 3.0, (50, X.shape[1]))
     labels_a, scores_a = predict_batch(model, queries)

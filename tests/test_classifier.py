@@ -379,7 +379,7 @@ class TestConvergenceSignal:
     def test_not_saved(self, clusters, tmp_path):
         X, labels = clusters
         path = tmp_path / "model.json"
-        save_model(train(X, labels), path)
+        save_model(train(X, labels), path, PipelineConfig())
         assert set(json.loads(path.read_text())) == {
             "version", "classes", "weights", "biases", "scaler_mean", "scaler_std", "config"
         }
@@ -449,7 +449,7 @@ class TestNonFinite:
         # one only comes from an edited file; 1e-310 turned every score NaN.
         X, labels = clusters
         path = tmp_path / "model.json"
-        save_model(train(X, labels), path)
+        save_model(train(X, labels), path, PipelineConfig())
         data = json.loads(path.read_text())
         for std, accepted in [(1e-310, False), (STD_FLOOR / 2, False), (STD_FLOOR, True)]:
             data["scaler_std"][3] = std
@@ -635,10 +635,11 @@ class TestPersistence:
         X, labels = clusters
         model = train(X, labels)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        pipeline = PipelineConfig(svm=model.train_config)
+        save_model(model, path, pipeline)
         loaded, config = load_model(path)
         assert loaded.classes == model.classes
-        assert config == PipelineConfig(svm=model.train_config)
+        assert config == pipeline
         queries = rng.normal(0, 3, (100, X.shape[1]))
         labels_a, scores_a = predict_batch(model, queries)
         labels_b, scores_b = predict_batch(loaded, queries)
@@ -668,7 +669,7 @@ class TestPersistence:
         model = train(X, labels)
         bad = tmp_path / "no_such_dir" / "model.json"
         with pytest.raises(ThermactError, match="no_such_dir"):
-            save_model(model, bad)
+            save_model(model, bad, PipelineConfig())
 
     @pytest.mark.parametrize(
         "doctor, message",
@@ -696,6 +697,8 @@ class TestPersistence:
             (lambda d: d.update(version=True), "unsupported model version True"),
             (lambda d: d.update(version=1.0), "unsupported model version 1.0"),
             (lambda d: d.pop("biases"), r"malformed model file \('biases'\)"),
+            # Without its config a model would predict through the default pipeline.
+            (lambda d: d.pop("config"), r"malformed model file \('config'\)"),
             (lambda d: d["biases"].__setitem__(0, str(d["biases"][0])), "biases holds a non-"),
             (lambda d: d["scaler_mean"].__setitem__(2, "1"), "scaler_mean holds a non-"),
             (lambda d: d["weights"][1].__setitem__(0, True), "weights holds .* True"),
@@ -710,12 +713,20 @@ class TestPersistence:
     def test_malformed_model_rejected(self, clusters, tmp_path, doctor, message):
         X, labels = clusters
         path = tmp_path / "model.json"
-        save_model(train(X, labels), path)
+        save_model(train(X, labels), path, PipelineConfig())
         data = json.loads(path.read_text())
         doctor(data)
         path.write_text(json.dumps(data))  # NaN/Infinity are written as JSON extensions
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
+
+    def test_save_refuses_another_svm_config(self, clusters, tmp_path):
+        # The file's config must be the one the model was trained under.
+        X, labels = clusters
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="config.svm"):
+            save_model(train(X, labels), path, PipelineConfig(svm=SvmConfig(seed=7)))
+        assert not path.exists()
 
     def test_duplicate_classes_rejected_in_training(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -724,10 +735,10 @@ class TestPersistence:
 
     def test_embedded_pipeline_config(self, clusters, tmp_path):
         X, labels = clusters
-        model = train(X, labels)
-        path = tmp_path / "model.json"
         pipeline = PipelineConfig(svm=SvmConfig(seed=7), preprocess=PreprocessSettings(16))
-        save_model(model, path, config=pipeline)
+        model = train(X, labels, pipeline.svm)
+        path = tmp_path / "model.json"
+        save_model(model, path, pipeline)
         _, config = load_model(path)
         assert config == pipeline
         assert json.loads(path.read_text())["config"] == pipeline.to_dict()

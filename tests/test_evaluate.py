@@ -81,7 +81,7 @@ class TestStratifiedKfold:
         labels = [f"c{i}" for i in range(8) for _ in range(30)]
         subjects = ["s0"] * len(labels)
         manifest = manifest_of(labels, subjects)
-        folds = stratified_kfold_split(manifest, k=10)
+        folds = stratified_kfold_split(manifest, k=10, seed=42)
         for train, test in folds:
             per_class = {}
             for i in test:
@@ -90,7 +90,7 @@ class TestStratifiedKfold:
 
     def test_leave_one_out_mode(self):
         manifest = manifest_of(["a"] * 5 + ["b"] * 5, ["s"] * 10, label_set=["a", "b"])
-        folds = stratified_kfold_split(manifest, k=5)
+        folds = stratified_kfold_split(manifest, k=5, seed=42)
         assert len(folds) == 5
         assert all(len(test) == 2 for _, test in folds)
 
@@ -143,23 +143,23 @@ class TestStratifiedKfold:
 
     def test_class_without_members_allowed(self):
         manifest = manifest_of(["a", "b"] * 6, ["s"] * 12, label_set=["a", "b", "unused"])
-        folds = stratified_kfold_split(manifest, k=3)
+        folds = stratified_kfold_split(manifest, k=3, seed=42)
         assert_disjoint_exhaustive(manifest, folds)
 
     def test_deficient_class_named(self):
         manifest = manifest_of(["a"] * 10 + ["b"] * 2, ["s"] * 12, label_set=["a", "b"])
         with pytest.raises(ValueError, match="'b'"):
-            stratified_kfold_split(manifest, k=5)
+            stratified_kfold_split(manifest, k=5, seed=42)
         # One member short of k is too few; k members are enough.
         manifest = manifest_of(["a"] * 10 + ["b"] * 4, ["s"] * 14, label_set=["a", "b"])
         with pytest.raises(ValueError, match="class 'b' has only 4 example"):
-            stratified_kfold_split(manifest, k=5)
-        assert len(stratified_kfold_split(manifest, k=4)) == 4
+            stratified_kfold_split(manifest, k=5, seed=42)
+        assert len(stratified_kfold_split(manifest, k=4, seed=42)) == 4
 
     def test_k_too_small(self):
         manifest = manifest_of(["a", "b"], ["s", "s"], label_set=["a", "b"])
         with pytest.raises(ValueError, match="k"):
-            stratified_kfold_split(manifest, k=1)
+            stratified_kfold_split(manifest, k=1, seed=42)
 
 
 class TestConfusionMatrix:

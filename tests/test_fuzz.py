@@ -132,7 +132,7 @@ def test_scene_file(fuzz_dir, value):
 def model_file(fuzz_dir):
     X, labels = toy_clusters(n_classes=3, per_class=5, dim=4, seed=0)
     path = fuzz_dir / "model.json"
-    save_model(train(X, labels), path)
+    save_model(train(X, labels), path, PipelineConfig())
     return json.loads(path.read_text())
 
 

@@ -255,7 +255,7 @@ class TestCorpus:
 
     def test_rejects_bad_counts(self, tmp_path):
         with pytest.raises(ValueError):
-            generate_corpus(tmp_path / "c", subjects=0)
+            generate_corpus(tmp_path / "c", subjects=0, reps=1, seed=42)
 
     # Only tiny rates: the frame count is duration x rate, so a huge rate
     # allocates without bound.
@@ -265,7 +265,7 @@ class TestCorpus:
         # generate must not write a corpus holding one.
         out = tmp_path / "c"
         with pytest.raises(ValueError, match="s01r1_fall.csv: has 1 frames, needs at least 2"):
-            generate_corpus(out, subjects=1, reps=1, scene=SceneParams(frame_rate_hz=rate))
+            generate_corpus(out, subjects=1, reps=1, seed=42, scene=SceneParams(frame_rate_hz=rate))
         assert not (out / "manifest.json").exists()
 
 

@@ -141,6 +141,8 @@ MUTANTS = (
     Mutant("classifier.skip_never", "if scale * low[i] >= 1.0 + tie:", "if False:"),
     Mutant("classifier.epoch_estimate_scale", "1.0 - scale * M", "1.0 - M"),
     Mutant("classifier.epoch_refresh", "if t - t_ref > shrinks_max:", "if False:"),
+    # classifier.save_model: the embedded config is the one the model trained under.
+    Mutant("classifier.save_config_agrees", "if config.svm != model.train_config:", "if False:"),
     # classifier.load_model: every check on a model file.
     Mutant(
         "classifier.model_unreadable",
@@ -158,7 +160,8 @@ MUTANTS = (
         "or version < 0:",
     ),
     Mutant("classifier.model_version_int", "if type(version) is not int or", "if"),
-    Mutant("classifier.model_config_read", 'data.get("config", {})', "{}"),
+    Mutant("classifier.model_config_read", 'data["config"]', "{}"),
+    Mutant("classifier.model_config_required", 'data["config"]', 'data.get("config", {})'),
     Mutant("classifier.model_config_object", "raise ModelFormatError(str(exc)) from None", "raise"),
     Mutant("classifier.model_bias_shape", "or biases.shape != (len(classes),)", ""),
     Mutant("classifier.model_std_shape", "or std.shape != (dim,)", ""),
