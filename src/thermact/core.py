@@ -300,6 +300,11 @@ def read_sequence(path: str | Path) -> ThermalSequence:
         raise SequenceFormatError(f"{path}: {exc}") from None
 
 
+_CSV_HEADER = (
+    "# timestamp_ms," + ",".join(f"p{r}{c}" for r, c in np.ndindex(GRID_SIZE, GRID_SIZE)) + "\n"
+)
+
+
 def serialize_sequence(seq: ThermalSequence) -> str:
     """Render a sequence as frame CSV at full float precision.
 
@@ -308,14 +313,20 @@ def serialize_sequence(seq: ThermalSequence) -> str:
     bit-exactly.
     """
     # One repr per distinct bit pattern: quantized frames hold few distinct
-    # values, and bits keep -0.0 apart from 0.0.
+    # values, and bits keep -0.0 apart from 0.0. Each cell text carries the
+    # separator after it: `texts` holds every repr with ",", every repr with
+    # "\n" (the last column), then each frame's "<stamp>,". `cells` indexes
+    # it, so the frames are one gather and one join.
     bits, inverse = np.unique(seq.pixels.view(np.int64).ravel(), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    cells = texts[inverse.reshape(seq.pixels.shape)].tolist()
-    lines = ["# timestamp_ms," + ",".join(f"p{r}{c}" for r, c in np.ndindex(GRID_SIZE, GRID_SIZE))]
-    for stamp, row in zip(seq.timestamps_ms.tolist(), cells):
-        lines.append(str(stamp) + "," + ",".join(row))
-    return "\n".join(lines) + "\n"
+    reprs = [repr(v) for v in bits.view(np.float64).tolist()]
+    k, n = len(reprs), len(seq)
+    stamps = [f"{stamp}," for stamp in seq.timestamps_ms.tolist()]
+    texts = np.array([r + "," for r in reprs] + [r + "\n" for r in reprs] + stamps, dtype=object)
+    cells = np.empty((n, PIXEL_COUNT + 1), dtype=np.intp)
+    cells[:, 0] = np.arange(2 * k, 2 * k + n)
+    cells[:, 1:] = inverse.reshape(n, PIXEL_COUNT)
+    cells[:, -1] += k
+    return _CSV_HEADER + "".join(texts[cells.ravel()].tolist())
 
 
 def write_sequence(seq: ThermalSequence, path: str | Path) -> None:

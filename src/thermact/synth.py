@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -139,13 +140,8 @@ class ActivityScript:
 
     def sample(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
         """(x, y, sigma, amplitude) arrays at time fractions u."""
-        u = np.asarray(u, dtype=np.float64)
-        us = np.array([k.u for k in self.keys])
-        channels = []
-        for attr in ("x", "y", "sigma", "amplitude"):
-            vals = np.array([getattr(k, attr) for k in self.keys])
-            channels.append(np.interp(u, us, vals))
-        return tuple(channels)
+        us, *channels = np.array([(k.u, k.x, k.y, k.sigma, k.amplitude) for k in self.keys]).T
+        return tuple(np.interp(u, us, values) for values in channels)
 
     def mirrored_x(self) -> "ActivityScript":
         """The same script reflected left-right (x -> 7 - x)."""
@@ -155,19 +151,22 @@ class ActivityScript:
 
 def blob_field(script: ActivityScript, u: np.ndarray) -> np.ndarray:
     """Noise-free blob contribution at pixel centers, shape (len(u), 64)."""
-    x, y, sigma, amp = script.sample(u)
+    return _blob(*script.sample(u))
+
+
+def _blob(x, y, sigma, amp):
     grid = np.arange(GRID_SIZE, dtype=np.float64)
     spread = 2.0 * sigma[:, None] ** 2
     dx2 = (grid[None, :] - x[:, None]) ** 2 / spread
     dy2 = (grid[None, :] - y[:, None]) ** 2 / spread
     blob = amp[:, None, None] * np.exp(-(dy2[:, :, None] + dx2[:, None, :]))
-    return blob.reshape(len(u), PIXEL_COUNT)
+    return blob.reshape(len(x), PIXEL_COUNT)
 
 
 def frame_times(scene: SceneParams, script: ActivityScript) -> np.ndarray:
     frames = script.duration_s * scene.frame_rate_hz
     if frames == np.inf:
-        raise ValueError(f"frame_rate_hz {scene.frame_rate_hz!r} overflows the frame count")
+        raise OverflowError(f"frame_rate_hz {scene.frame_rate_hz!r} overflows the frame count")
     n = max(1, round(frames))
     return np.arange(n) / scene.frame_rate_hz
 
@@ -182,20 +181,38 @@ def render_frames(
     i.i.d. Gaussian noise, optionally quantized, then clamped to the sensor
     range (clamping should not occur at default settings).
     """
-    rng = np.random.default_rng(seed)
-    times = frame_times(scene, script)
-    u = np.clip(times / script.duration_s, 0.0, 1.0)
+    (seq,), clamped = _render_session(scene, [script], [np.random.default_rng(seed)])
+    return seq, clamped
+
+
+def _render_session(
+    scene: SceneParams, scripts: list[ActivityScript], rngs: list[np.random.Generator]
+) -> tuple[list[ThermalSequence], int]:
+    """`render_frames` of each script with the noise of its own generator, in one pass.
+
+    Only the blob path and the noise are drawn per recording; every later
+    step is elementwise over the stacked frames, so each recording gets the
+    bits it would get alone. Returns the sequences and the total clamp count.
+    """
+    times = [frame_times(scene, script) for script in scripts]
+    paths = [s.sample(np.clip(t / s.duration_s, 0.0, 1.0)) for s, t in zip(scripts, times)]
+    noise = [rng.normal(0.0, scene.noise_std, (len(t), PIXEL_COUNT)) for rng, t in zip(rngs, times)]
     values = (
         scene.ambient_mean
         + scene.ambient_pixel_offsets[None, :]
-        + blob_field(script, u)
-        + rng.normal(0.0, scene.noise_std, (len(times), PIXEL_COUNT))
+        + _blob(*np.concatenate(paths, axis=1))
+        + np.concatenate(noise)
     )
     if scene.quantize_step > 0:
         values = np.round(values / scene.quantize_step) * scene.quantize_step
     clamped = int(np.count_nonzero((values < TEMP_MIN_C) | (values > TEMP_MAX_C)))
     values = np.clip(values, TEMP_MIN_C, TEMP_MAX_C)
-    return ThermalSequence(pixels=values, timestamps_ms=np.round(1000.0 * times)), clamped
+    ends = np.cumsum([len(t) for t in times]).tolist()
+    seqs = [
+        ThermalSequence(pixels=values[end - len(t) : end], timestamps_ms=np.round(1000.0 * t))
+        for t, end in zip(times, ends)
+    ]
+    return seqs, clamped
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +243,44 @@ class SubjectProfile:
         )
 
 
-def _still_script(label, draw, profile, duration):
+# The jitter of every built-in script, name: (low, high) per draw, in the
+# order a recording's generator yields them. Each recording draws all 41
+# values in one `uniform` call, whichever script it keeps, so its noise always
+# starts at the same point of its stream. Both walks read the "walk" draws.
+_STILL_JITTER = {
+    "duration": (0.92, 1.08), "sigma": (-0.09, 0.09), "amplitude": (-0.22, 0.22),
+    "cx": (-0.35, 0.35), "cy": (-0.35, 0.35),
+}
+_TRANSITION_JITTER = {
+    "duration": (0.92, 1.08), "sit_sigma": (-0.06, 0.06), "stand_sigma": (-0.06, 0.06),
+    "sit_amplitude": (-0.18, 0.18), "stand_amplitude": (-0.18, 0.18),
+    "cx": (-0.35, 0.35), "cy": (-0.35, 0.35), "dx": (-0.3, 0.3), "dy": (-0.3, 0.3),
+}
+_JITTER = {
+    "fall": {
+        "duration": (0.92, 1.08), "cx": (-0.45, 0.45), "cy": (-0.45, 0.45),
+        "angle": (0.0, 2.0 * np.pi), "dist": (1.9, 2.5),
+        "amplitude": (-0.15, 0.15), "sigma": (-0.05, 0.05),
+    },
+    "sit_still": _STILL_JITTER,
+    "stand_still": _STILL_JITTER,
+    "sit_to_stand": _TRANSITION_JITTER,
+    "stand_to_sit": _TRANSITION_JITTER,
+    "walk": {
+        "duration": (0.92, 1.08), "lane": (-0.25, 0.25), "x0": (0.0, 0.2), "x1": (0.0, 0.2),
+        "sigma": (-0.07, 0.07), "amplitude": (-0.15, 0.15),
+    },
+}
+_JITTER_LOW, _JITTER_HIGH = np.array([b for rows in _JITTER.values() for b in rows.values()]).T
+_JITTER_START = dict(zip(_JITTER, accumulate(map(len, _JITTER.values()), initial=0)))
+
+
+def _still_script(label, j, profile, duration):
     sit = label == "sit_still"
-    sigma = (_SIT_SIGMA if sit else _STAND_SIGMA) + profile.sigma_shift + draw(-0.09, 0.09)
-    amp = (_SIT_AMP if sit else _STAND_AMP) + profile.amplitude_shift + draw(-0.22, 0.22)
-    cx = profile.center_x + draw(-0.35, 0.35)
-    cy = profile.center_y + draw(-0.35, 0.35)
+    sigma = (_SIT_SIGMA if sit else _STAND_SIGMA) + profile.sigma_shift + j["sigma"]
+    amp = (_SIT_AMP if sit else _STAND_AMP) + profile.amplitude_shift + j["amplitude"]
+    cx = profile.center_x + j["cx"]
+    cy = profile.center_y + j["cy"]
     keys = (
         ScriptKey(0.0, cx, cy, sigma, amp),
         ScriptKey(1.0, cx, cy, sigma, amp),
@@ -239,14 +288,14 @@ def _still_script(label, draw, profile, duration):
     return ActivityScript(duration_s=duration, keys=keys)
 
 
-def _transition_script(label, draw, profile, duration):
-    sit_sigma = _SIT_SIGMA + profile.sigma_shift + draw(-0.06, 0.06)
-    stand_sigma = _STAND_SIGMA + profile.sigma_shift + draw(-0.06, 0.06)
-    sit_amp = _SIT_AMP + profile.amplitude_shift + draw(-0.18, 0.18)
-    stand_amp = _STAND_AMP + profile.amplitude_shift + draw(-0.18, 0.18)
-    cx = profile.center_x + draw(-0.35, 0.35)
-    cy = profile.center_y + draw(-0.35, 0.35)
-    dx, dy = draw(-0.3, 0.3), draw(-0.3, 0.3)
+def _transition_script(label, j, profile, duration):
+    sit_sigma = _SIT_SIGMA + profile.sigma_shift + j["sit_sigma"]
+    stand_sigma = _STAND_SIGMA + profile.sigma_shift + j["stand_sigma"]
+    sit_amp = _SIT_AMP + profile.amplitude_shift + j["sit_amplitude"]
+    stand_amp = _STAND_AMP + profile.amplitude_shift + j["stand_amplitude"]
+    cx = profile.center_x + j["cx"]
+    cy = profile.center_y + j["cy"]
+    dx, dy = j["dx"], j["dy"]
     if label == "sit_to_stand":
         start = (sit_sigma, sit_amp)
         end = (stand_sigma, stand_amp)
@@ -266,14 +315,13 @@ def _transition_script(label, draw, profile, duration):
     return ActivityScript(duration_s=duration, keys=keys)
 
 
-def _fall_script(draw, profile, duration):
-    cx = min(max(profile.center_x + draw(-0.45, 0.45), 2.6), 4.4)
-    cy = min(max(profile.center_y + draw(-0.45, 0.45), 2.6), 4.4)
-    angle = draw(0.0, 2.0 * np.pi)
-    dist = draw(1.9, 2.5)
+def _fall_script(j, profile, duration):
+    cx = min(max(profile.center_x + j["cx"], 2.6), 4.4)
+    cy = min(max(profile.center_y + j["cy"], 2.6), 4.4)
+    angle, dist = j["angle"], j["dist"]
     ex, ey = cx + dist * np.cos(angle), cy + dist * np.sin(angle)
-    amp0 = 6.3 + profile.amplitude_shift + draw(-0.15, 0.15)
-    sigma0 = 0.8 + profile.sigma_shift + draw(-0.05, 0.05)
+    amp0 = 6.3 + profile.amplitude_shift + j["amplitude"]
+    sigma0 = 0.8 + profile.sigma_shift + j["sigma"]
     keys = (
         ScriptKey(0.0, cx, cy, sigma0, amp0),
         ScriptKey(0.4, cx + 0.55 * (ex - cx), cy + 0.55 * (ey - cy), 1.15, amp0 - 0.7),
@@ -282,16 +330,16 @@ def _fall_script(draw, profile, duration):
     return ActivityScript(duration_s=duration, keys=keys, allow_offgrid=True)
 
 
-def _walk_script(draw, profile, duration):
+def _walk_script(j, profile, duration):
     # Left-to-right form; the right-to-left script is its exact x mirror.
     # The gait accelerates and the blob warms along the way: magnitude-only
     # features cannot tell mirrored constant walks apart, these asymmetries
     # in time are what make the two directions separable.
-    lane = profile.walk_lane + draw(-0.25, 0.25)
-    x0 = 0.45 + draw(0.0, 0.2)
-    x1 = 6.55 - draw(0.0, 0.2)
-    sigma = 0.85 + profile.sigma_shift + draw(-0.07, 0.07)
-    amp0 = 5.85 + profile.amplitude_shift + draw(-0.15, 0.15)
+    lane = profile.walk_lane + j["lane"]
+    x0 = 0.45 + j["x0"]
+    x1 = 6.55 - j["x1"]
+    sigma = 0.85 + profile.sigma_shift + j["sigma"]
+    amp0 = 5.85 + profile.amplitude_shift + j["amplitude"]
     amp1 = amp0 + 0.6
     span = x1 - x0
     keys = (
@@ -303,35 +351,38 @@ def _walk_script(draw, profile, duration):
     return ActivityScript(duration_s=duration, keys=keys)
 
 
+def _draw_jitter(rng: np.random.Generator) -> list[float]:
+    """The 41 jitter values of one recording, in `_JITTER` order, from one call."""
+    return rng.uniform(_JITTER_LOW, _JITTER_HIGH).tolist()
+
+
+def _builtin_script(label: str, jitter: list[float], profile: SubjectProfile) -> ActivityScript:
+    """The built-in script of `label`, from a recording's `_draw_jitter`."""
+    group = "walk" if label.startswith("walk") else label
+    j = dict(zip(_JITTER[group], jitter[_JITTER_START[group] :]))
+    duration = DEFAULT_DURATIONS_S[label] * profile.speed_factor * j["duration"]
+    if label == "fall":
+        # falls complete within their nominal duration: jitter only shortens them
+        return _fall_script(j, profile, min(DEFAULT_DURATIONS_S["fall"], duration))
+    if label.endswith("_still"):
+        return _still_script(label, j, profile, duration)
+    if group == "walk":
+        walk = _walk_script(j, profile, duration)
+        return walk if label == "walk_left_right" else walk.mirrored_x()
+    return _transition_script(label, j, profile, duration)
+
+
 def builtin_scripts(
     rng: np.random.Generator, profile: SubjectProfile | None = None
 ) -> dict[str, ActivityScript]:
-    """One script per built-in label, jittered from `rng`.
+    """One script per built-in label, jittered from one draw of `rng`.
 
-    The two walk scripts share one parameter draw, so with the same rng state
-    they are exact mirror images of each other.
+    The two walk scripts share one parameter draw, so they are exact mirror
+    images of each other.
     """
     profile = profile or SubjectProfile()
-
-    def draw(lo, hi):
-        return float(rng.uniform(lo, hi))
-
-    def dur(label):
-        return DEFAULT_DURATIONS_S[label] * profile.speed_factor * draw(0.92, 1.08)
-
-    # falls complete within their nominal duration: jitter only shortens them
-    fall_duration = min(DEFAULT_DURATIONS_S["fall"], dur("fall"))
-    scripts = {
-        "fall": _fall_script(draw, profile, fall_duration),
-        "sit_still": _still_script("sit_still", draw, profile, dur("sit_still")),
-        "stand_still": _still_script("stand_still", draw, profile, dur("stand_still")),
-        "sit_to_stand": _transition_script("sit_to_stand", draw, profile, dur("sit_to_stand")),
-        "stand_to_sit": _transition_script("stand_to_sit", draw, profile, dur("stand_to_sit")),
-    }
-    walk = _walk_script(draw, profile, dur("walk_left_right"))
-    scripts["walk_left_right"] = walk
-    scripts["walk_right_left"] = walk.mirrored_x()
-    return scripts
+    jitter = _draw_jitter(rng)
+    return {label: _builtin_script(label, jitter, profile) for label in ADL7_LABELS}
 
 
 def empty_scene_script(duration_s: float = 6.0) -> ActivityScript:
@@ -386,21 +437,23 @@ def generate_corpus(
     write_sequence(background, out / "background.csv")
 
     entries = []
+    per_session = len(ADL7_LABELS)
     for si in range(1, subjects + 1):
-        subj_ss = children[si]
-        subj_children = subj_ss.spawn(1 + reps * len(ADL7_LABELS))
-        profile = SubjectProfile.draw(np.random.default_rng(subj_children[0]))
+        streams = children[si].spawn(1 + reps * per_session)
+        profile = SubjectProfile.draw(np.random.default_rng(streams[0]))
         subject_id = f"s{si:02d}"
-        inst = 1
         for rep in range(1, reps + 1):
             session_id = f"{subject_id}r{rep}"
-            for label in ADL7_LABELS:
-                rng = np.random.default_rng(subj_children[inst])
-                inst += 1
-                script = builtin_scripts(rng, profile)[label]
+            first = 1 + (rep - 1) * per_session
+            rngs = [np.random.default_rng(s) for s in streams[first : first + per_session]]
+            scripts = [
+                _builtin_script(label, _draw_jitter(rng), profile)
+                for label, rng in zip(ADL7_LABELS, rngs)
+            ]
+            seqs, c = _render_session(scene, scripts, rngs)
+            clamped += c
+            for label, seq in zip(ADL7_LABELS, seqs):
                 name = f"{session_id}_{label}.csv"
-                seq, c = render_frames(scene, script, rng)
-                clamped += c
                 if len(seq) < MIN_ACTIVITY_FRAMES:
                     raise ValueError(
                         f"{name}: has {len(seq)} frames, needs at least {MIN_ACTIVITY_FRAMES}"

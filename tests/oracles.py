@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from thermact.core import TEMP_MAX_C, TEMP_MIN_C, ThermalSequence
 from thermact.features import dct_matrix
+from thermact.synth import DEFAULT_DURATIONS_S, ActivityScript, ScriptKey, SubjectProfile
 
 
 def naive_dct(series):
@@ -124,3 +126,125 @@ def serialize_per_value(seq):
     for stamp, row in zip(seq.timestamps_ms.tolist(), seq.pixels.tolist()):
         lines.append(str(stamp) + "," + ",".join(repr(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def builtin_scripts_scalar(rng, profile=None):
+    """One script per built-in label, each jitter value from its own `uniform` call.
+
+    The code `synth.builtin_scripts` replaced: 41 scalar draws in the
+    order the script code reads them (the fall's duration, then the fall's
+    own values, each later script's duration before its values), and the
+    right-to-left walk the mirror of the left-to-right one.
+    """
+    profile = profile or SubjectProfile()
+    stand_sigma, stand_amp, sit_sigma, sit_amp = 0.78, 6.3, 1.05, 5.7
+
+    def draw(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def dur(label):
+        return DEFAULT_DURATIONS_S[label] * profile.speed_factor * draw(0.92, 1.08)
+
+    def still(label, duration):
+        sit = label == "sit_still"
+        sigma = (sit_sigma if sit else stand_sigma) + profile.sigma_shift + draw(-0.09, 0.09)
+        amp = (sit_amp if sit else stand_amp) + profile.amplitude_shift + draw(-0.22, 0.22)
+        cx = profile.center_x + draw(-0.35, 0.35)
+        cy = profile.center_y + draw(-0.35, 0.35)
+        keys = (ScriptKey(0.0, cx, cy, sigma, amp), ScriptKey(1.0, cx, cy, sigma, amp))
+        return ActivityScript(duration_s=duration, keys=keys)
+
+    def transition(label, duration):
+        sit_s = sit_sigma + profile.sigma_shift + draw(-0.06, 0.06)
+        stand_s = stand_sigma + profile.sigma_shift + draw(-0.06, 0.06)
+        sit_a = sit_amp + profile.amplitude_shift + draw(-0.18, 0.18)
+        stand_a = stand_amp + profile.amplitude_shift + draw(-0.18, 0.18)
+        cx = profile.center_x + draw(-0.35, 0.35)
+        cy = profile.center_y + draw(-0.35, 0.35)
+        dx, dy = draw(-0.3, 0.3), draw(-0.3, 0.3)
+        sit, stand = (sit_s, sit_a), (stand_s, stand_a)
+        start, end = (sit, stand) if label == "sit_to_stand" else (stand, sit)
+        keys = (
+            ScriptKey(0.0, cx, cy, *start),
+            ScriptKey(
+                0.45, cx + 0.6 * dx, cy + 0.6 * dy,
+                0.82 * (start[0] + end[0]) / 2.0, max(start[1], end[1]) + 0.45,
+            ),
+            ScriptKey(1.0, cx + dx, cy + dy, *end),
+        )
+        return ActivityScript(duration_s=duration, keys=keys)
+
+    def fall(duration):
+        cx = min(max(profile.center_x + draw(-0.45, 0.45), 2.6), 4.4)
+        cy = min(max(profile.center_y + draw(-0.45, 0.45), 2.6), 4.4)
+        angle = draw(0.0, 2.0 * np.pi)
+        dist = draw(1.9, 2.5)
+        ex, ey = cx + dist * np.cos(angle), cy + dist * np.sin(angle)
+        amp0 = 6.3 + profile.amplitude_shift + draw(-0.15, 0.15)
+        sigma0 = 0.8 + profile.sigma_shift + draw(-0.05, 0.05)
+        keys = (
+            ScriptKey(0.0, cx, cy, sigma0, amp0),
+            ScriptKey(0.4, cx + 0.55 * (ex - cx), cy + 0.55 * (ey - cy), 1.15, amp0 - 0.7),
+            ScriptKey(1.0, ex, ey, 1.7 + profile.sigma_shift, 3.9 + profile.amplitude_shift),
+        )
+        return ActivityScript(duration_s=duration, keys=keys, allow_offgrid=True)
+
+    def walk(duration):
+        lane = profile.walk_lane + draw(-0.25, 0.25)
+        x0 = 0.45 + draw(0.0, 0.2)
+        x1 = 6.55 - draw(0.0, 0.2)
+        sigma = 0.85 + profile.sigma_shift + draw(-0.07, 0.07)
+        amp0 = 5.85 + profile.amplitude_shift + draw(-0.15, 0.15)
+        span = x1 - x0
+        keys = (
+            ScriptKey(0.0, x0, lane, sigma, amp0),
+            ScriptKey(0.3, x0 + 0.22 * span, lane, sigma, amp0 + 0.18),
+            ScriptKey(0.6, x0 + 0.55 * span, lane, sigma, amp0 + 0.38),
+            ScriptKey(1.0, x1, lane, sigma, amp0 + 0.6),
+        )
+        return ActivityScript(duration_s=duration, keys=keys)
+
+    scripts = {"fall": fall(min(DEFAULT_DURATIONS_S["fall"], dur("fall")))}
+    for label in ("sit_still", "stand_still"):
+        scripts[label] = still(label, dur(label))
+    for label in ("sit_to_stand", "stand_to_sit"):
+        scripts[label] = transition(label, dur(label))
+    scripts["walk_left_right"] = walk(dur("walk_left_right"))
+    scripts["walk_right_left"] = scripts["walk_left_right"].mirrored_x()
+    return scripts
+
+
+def render_one(scene, script, seed):
+    """One script rendered on its own: the sequence and its clamp count.
+
+    The renderer `synth.render_frames` became the one-recording case of: per
+    frame time, each channel interpolated from the script's keys, a Gaussian
+    blob over the 8x8 pixel centres, ambient mean + per-pixel offset + blob +
+    the generator's noise, then quantize, count the out-of-range values and
+    clamp them.
+    """
+    rng = np.random.default_rng(seed)
+    n = max(1, round(script.duration_s * scene.frame_rate_hz))
+    times = np.arange(n) / scene.frame_rate_hz
+    u = np.clip(times / script.duration_s, 0.0, 1.0)
+    us = np.array([k.u for k in script.keys])
+    x, y, sigma, amp = (
+        np.interp(u, us, np.array([getattr(k, attr) for k in script.keys]))
+        for attr in ("x", "y", "sigma", "amplitude")
+    )
+    grid = np.arange(8, dtype=np.float64)
+    spread = 2.0 * sigma[:, None] ** 2
+    dx2 = (grid[None, :] - x[:, None]) ** 2 / spread
+    dy2 = (grid[None, :] - y[:, None]) ** 2 / spread
+    blob = (amp[:, None, None] * np.exp(-(dy2[:, :, None] + dx2[:, None, :]))).reshape(n, 64)
+    values = (
+        scene.ambient_mean
+        + scene.ambient_pixel_offsets[None, :]
+        + blob
+        + rng.normal(0.0, scene.noise_std, (n, 64))
+    )
+    if scene.quantize_step > 0:
+        values = np.round(values / scene.quantize_step) * scene.quantize_step
+    clamped = int(np.count_nonzero((values < TEMP_MIN_C) | (values > TEMP_MAX_C)))
+    values = np.clip(values, TEMP_MIN_C, TEMP_MAX_C)
+    return ThermalSequence(pixels=values, timestamps_ms=np.round(1000.0 * times)), clamped

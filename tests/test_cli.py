@@ -640,7 +640,9 @@ class TestMalformedSettings:
         out = tmp_path / "out"
         args = ["generate", "--out", str(out), "--subjects", "1", "--reps", "1"]
         assert main(args + ["--scene", str(scene_path)]) == 1
-        one_error_line(capsys, "frame_rate_hz")
+        # Named like every other scene error: the file, then the key.
+        err = capsys.readouterr().err
+        assert err == f"error: {scene_path}: frame_rate_hz 1e+308 overflows the frame count\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

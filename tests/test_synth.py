@@ -1,17 +1,22 @@
 import filecmp
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import builtin_scripts_scalar, render_one, serialize_per_value
 from thermact.core import ADL7_LABELS, from_json, load_manifest
 from thermact.synth import (
     ActivityScript,
     SceneParams,
     ScriptKey,
     SubjectProfile,
+    _render_session,
     blob_field,
     builtin_scripts,
     default_pixel_offsets,
@@ -267,6 +272,87 @@ class TestCorpus:
         with pytest.raises(ValueError, match="s01r1_fall.csv: has 1 frames, needs at least 2"):
             generate_corpus(out, subjects=1, reps=1, seed=42, scene=SceneParams(frame_rate_hz=rate))
         assert not (out / "manifest.json").exists()
+
+
+def sequence_bits(seq):
+    return seq.pixels.tobytes(), seq.timestamps_ms.tobytes()
+
+
+SEEDS = st.integers(0, 2**63 - 1)
+PROFILES = st.none() | st.integers(0, 2**32).map(
+    lambda seed: SubjectProfile.draw(np.random.default_rng(seed))
+)
+# Ambient means next to either end of the sensor range clamp; 0.4 Hz and
+# 1e-300 Hz render one-frame recordings.
+SCENES = st.builds(
+    SceneParams,
+    ambient_mean=st.sampled_from([21.0, 0.5, 79.6]) | st.floats(10.0, 30.0),
+    noise_std=st.floats(0.01, 2.0),
+    frame_rate_hz=st.sampled_from([10.0, 0.4, 1e-300]) | st.floats(0.5, 30.0),
+    quantize_step=st.sampled_from([0.0, 0.25]) | st.floats(0.01, 1.0),
+)
+
+
+class TestAgainstOracles:
+    """The table-driven scripts and the session pass, bit for bit against the
+    scalar-draw scripts and the one-recording renderer they replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, PROFILES)
+    def test_builtin_scripts_match_scalar_draws(self, seed, profile):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        scripts = builtin_scripts(rng, profile)
+        expected = builtin_scripts_scalar(ref_rng, profile)
+        assert list(scripts) == list(expected)
+        for label in expected:  # repr keeps every float's bits
+            assert repr(scripts[label]) == repr(expected[label]), label
+        # and the draw leaves the generator where 41 scalar draws leave it
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, PROFILES, SCENES, st.lists(st.sampled_from(ADL7_LABELS), min_size=1, max_size=9))
+    def test_session_pass_matches_one_recording_renders(self, seed, profile, scene, labels):
+        streams = np.random.SeedSequence(seed).spawn(len(labels))
+        rngs = [np.random.default_rng(s) for s in streams]
+        scripts = [builtin_scripts(rng, profile)[label] for label, rng in zip(labels, rngs)]
+        seqs, clamped = _render_session(scene, scripts, rngs)
+        expected = []
+        for label, s in zip(labels, streams):
+            ref_rng = np.random.default_rng(s)
+            script = builtin_scripts_scalar(ref_rng, profile)[label]
+            expected.append(render_one(scene, script, ref_rng))
+        assert [sequence_bits(seq) for seq in seqs] == [sequence_bits(e) for e, _ in expected]
+        assert clamped == sum(c for _, c in expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, SCENES)
+    def test_render_frames_is_the_one_recording_case(self, seed, scene):
+        script = builtin_scripts(np.random.default_rng(seed))["walk_right_left"]
+        seq, clamped = render_frames(scene, script, seed)
+        expected, expected_clamped = render_one(scene, script, seed)
+        assert sequence_bits(seq) == sequence_bits(expected)
+        assert clamped == expected_clamped
+
+    @settings(max_examples=8, deadline=None)
+    @given(SEEDS, SCENES.filter(lambda scene: scene.frame_rate_hz >= 4.0))
+    def test_corpus_matches_the_oracles(self, tmp_path_factory, seed, scene):
+        # Two sessions of one subject, each file against the oracle renderer
+        # and the per-value writer, on the corpus's own seed streams.
+        out = tmp_path_factory.mktemp("corpus")
+        summary = generate_corpus(out, subjects=1, reps=2, seed=seed, scene=scene)
+        background_ss, subject_ss = np.random.SeedSequence(seed).spawn(2)
+        background, clamped = render_one(scene, empty_scene_script(), background_ss)
+        files = {"background.csv": serialize_per_value(background)}
+        streams = subject_ss.spawn(1 + 2 * len(ADL7_LABELS))
+        profile = SubjectProfile.draw(np.random.default_rng(streams[0]))
+        for stream, (rep, label) in zip(streams[1:], itertools.product((1, 2), ADL7_LABELS)):
+            rng = np.random.default_rng(stream)
+            seq, c = render_one(scene, builtin_scripts_scalar(rng, profile)[label], rng)
+            files[f"s01r{rep}_{label}.csv"] = serialize_per_value(seq)
+            clamped += c
+        for name, text in files.items():
+            assert (out / name).read_text(encoding="utf-8") == text, name
+        assert summary.clamped_values == clamped
 
 
 class TestToyClusters:

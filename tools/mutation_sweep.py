@@ -47,6 +47,7 @@ TESTS = {
     "preprocess": ("tests/test_preprocess.py",),
     "evaluate": ("tests/test_evaluate.py",),
     "synth": ("tests/test_synth.py", "tests/test_cli.py"),
+    "cli": ("tests/test_cli.py",),
 }
 
 # A mutant whose tests run longer than this is counted as killed (it hangs).
@@ -245,6 +246,16 @@ MUTANTS = (
     Mutant("synth.subjects_seed_limit", '("subjects", subjects + 1)', '("subjects", 0)'),
     Mutant("synth.reps_seed_limit", '("reps", 1 + reps * len(ADL7_LABELS))', '("reps", 0)'),
     Mutant("synth.frame_count_limit", "if frames == np.inf:", "if False:"),
+    # synth: one recording's jitter is drawn in the table's order, and the
+    # session pass hands each recording its own frames.
+    Mutant("synth.jitter_order", '"x0": (0.0, 0.2), "x1": (0.0, 0.2)', '"x1": (0.0, 0.2), "x0": (0.0, 0.2)'),
+    Mutant("synth.session_slice", "[end - len(t) : end]", "[end - len(t) + 1 : end + 1]"),
+    # cli: a scene whose frame rate overflows the frame count is named.
+    Mutant(
+        "cli.scene_overflow_named",
+        'raise ConfigError(f"{args.scene}: {exc}") from None',
+        "raise ConfigError(str(exc)) from None",
+    ),
 )
 
 
