@@ -46,6 +46,8 @@ from .core import (
 # Fixed pattern used when no per-sensor offsets are supplied.
 _OFFSET_SEED = 8833
 
+MAX_FRAME_RATE_HZ = 1000.0  # the longest built-in recording (6.05 s) then has <= 6,048 frames
+
 DEFAULT_DURATIONS_S = {
     "fall": 1.0,
     "sit_still": 5.0,
@@ -82,12 +84,16 @@ class SceneParams:
             raise ValueError(
                 f"ambient_pixel_offsets must hold {PIXEL_COUNT} values, got {offsets.size}"
             )
+        if not np.isfinite(offsets).all():
+            raise ValueError("ambient_pixel_offsets must be finite")
         if not TEMP_MIN_C <= self.ambient_mean <= TEMP_MAX_C:
             raise ValueError("ambient_mean outside the sensor range")
         if not self.noise_std > 0:
             raise ValueError("noise_std must be positive")
-        if not self.frame_rate_hz > 0:
-            raise ValueError("frame_rate_hz must be positive")
+        if not 0 < self.frame_rate_hz <= MAX_FRAME_RATE_HZ:
+            raise ValueError(
+                f"frame_rate_hz must be in (0, {MAX_FRAME_RATE_HZ:g}] Hz, got {self.frame_rate_hz!r}"
+            )
         if not self.quantize_step >= 0:
             raise ValueError("quantize_step must be >= 0")
         offsets.flags.writeable = False
@@ -163,12 +169,12 @@ def _blob(x, y, sigma, amp):
     return blob.reshape(len(x), PIXEL_COUNT)
 
 
+def frame_count(scene: SceneParams, script: ActivityScript) -> int:
+    return max(1, round(script.duration_s * scene.frame_rate_hz))
+
+
 def frame_times(scene: SceneParams, script: ActivityScript) -> np.ndarray:
-    frames = script.duration_s * scene.frame_rate_hz
-    if frames == np.inf:
-        raise OverflowError(f"frame_rate_hz {scene.frame_rate_hz!r} overflows the frame count")
-    n = max(1, round(frames))
-    return np.arange(n) / scene.frame_rate_hz
+    return np.arange(frame_count(scene, script)) / scene.frame_rate_hz
 
 
 def render_frames(
@@ -426,42 +432,43 @@ def generate_corpus(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     scene = scene or SceneParams()
-    root_ss = np.random.SeedSequence(seed)
-    children = root_ss.spawn(subjects + 1)
-    # Rendered before the directory is made, so a scene that cannot render leaves none.
-    background, clamped = render_frames(
-        scene, empty_scene_script(), np.random.default_rng(children[0])
-    )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_sequence(background, out / "background.csv")
-
-    entries = []
+    children = np.random.SeedSequence(seed).spawn(subjects + 1)
+    # Every script is drawn and its frame count checked before anything is written.
+    sessions = []  # (subject, session, scripts, the generators that draw their noise)
     per_session = len(ADL7_LABELS)
     for si in range(1, subjects + 1):
         streams = children[si].spawn(1 + reps * per_session)
         profile = SubjectProfile.draw(np.random.default_rng(streams[0]))
-        subject_id = f"s{si:02d}"
-        for rep in range(1, reps + 1):
-            session_id = f"{subject_id}r{rep}"
-            first = 1 + (rep - 1) * per_session
+        for rep, first in enumerate(range(1, len(streams), per_session), start=1):
             rngs = [np.random.default_rng(s) for s in streams[first : first + per_session]]
             scripts = [
                 _builtin_script(label, _draw_jitter(rng), profile)
                 for label, rng in zip(ADL7_LABELS, rngs)
             ]
-            seqs, c = _render_session(scene, scripts, rngs)
-            clamped += c
-            for label, seq in zip(ADL7_LABELS, seqs):
-                name = f"{session_id}_{label}.csv"
-                if len(seq) < MIN_ACTIVITY_FRAMES:
-                    raise ValueError(
-                        f"{name}: has {len(seq)} frames, needs at least {MIN_ACTIVITY_FRAMES}"
-                    )
-                write_sequence(seq, out / name)
-                entries.append(
-                    ManifestEntry(path=name, label=label, subject_id=subject_id, session_id=session_id)
+            sessions.append((f"s{si:02d}", f"s{si:02d}r{rep}", scripts, rngs))
+    for _, session_id, scripts, _ in sessions:
+        for label, script in zip(ADL7_LABELS, scripts):
+            if (n := frame_count(scene, script)) < MIN_ACTIVITY_FRAMES:
+                raise ValueError(
+                    f"frame_rate_hz {scene.frame_rate_hz!r} gives {session_id}_{label}.csv"
+                    f" {n} frame(s), needs at least {MIN_ACTIVITY_FRAMES}"
                 )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    background, clamped = render_frames(
+        scene, empty_scene_script(), np.random.default_rng(children[0])
+    )
+    write_sequence(background, out / "background.csv")
+    entries = []
+    for subject_id, session_id, scripts, rngs in sessions:
+        seqs, c = _render_session(scene, scripts, rngs)
+        clamped += c
+        for label, seq in zip(ADL7_LABELS, seqs):
+            name = f"{session_id}_{label}.csv"
+            write_sequence(seq, out / name)
+            entries.append(
+                ManifestEntry(path=name, label=label, subject_id=subject_id, session_id=session_id)
+            )
 
     manifest = DatasetManifest(
         entries=tuple(entries),
@@ -480,8 +487,4 @@ def generate_corpus(
         + "\n",
         encoding="utf-8",
     )
-    return CorpusSummary(
-        manifest_path=manifest_path,
-        sequence_count=len(entries),
-        clamped_values=clamped,
-    )
+    return CorpusSummary(manifest_path, len(entries), clamped)

@@ -634,7 +634,7 @@ class TestMalformedSettings:
         assert not out.exists()
 
     def test_frame_rate_overflows_the_frame_count(self, tmp_path, capsys):
-        # A finite rate whose frame count is inf: round(inf) raises OverflowError.
+        # A finite rate whose frame count would be inf is refused as the scene is read.
         scene_path = tmp_path / "scene.json"
         scene_path.write_text('{"frame_rate_hz": 1e308}')
         out = tmp_path / "out"
@@ -642,7 +642,31 @@ class TestMalformedSettings:
         assert main(args + ["--scene", str(scene_path)]) == 1
         # Named like every other scene error: the file, then the key.
         err = capsys.readouterr().err
-        assert err == f"error: {scene_path}: frame_rate_hz 1e+308 overflows the frame count\n"
+        assert err == f"error: {scene_path}: frame_rate_hz must be in (0, 1000] Hz, got 1e+308\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["1e300", "1000.0000000000001"])
+    def test_frame_rate_above_the_bound(self, tmp_path, capsys, rate):
+        # 1e300 Hz asks for a finite frame count too large to allocate.
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(f'{{"frame_rate_hz": {rate}}}')
+        out = tmp_path / "out"
+        args = ["generate", "--out", str(out), "--subjects", "1", "--reps", "1"]
+        assert main(args + ["--scene", str(scene_path)]) == 1
+        err = capsys.readouterr().err
+        got = repr(float(rate))
+        assert err == f"error: {scene_path}: frame_rate_hz must be in (0, 1000] Hz, got {got}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["0.4", "1e-300"])
+    def test_one_frame_activity_makes_no_directory(self, tmp_path, capsys, rate):
+        # The fall renders one frame at these rates; nothing may be written.
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(f'{{"frame_rate_hz": {rate}}}')
+        out = tmp_path / "out"
+        args = ["generate", "--out", str(out), "--subjects", "2", "--reps", "2"]
+        assert main(args + ["--scene", str(scene_path)]) == 1
+        one_error_line(capsys, f"frame_rate_hz {rate} gives s01r1_fall.csv 1 frame")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from thermact.classifier import STD_FLOOR, ModelFormatError, load_model, predict, save_model, train
@@ -34,7 +34,7 @@ from thermact.core import (
     read_sequence,
     write_sequence,
 )
-from thermact.synth import SceneParams
+from thermact.synth import MAX_FRAME_RATE_HZ, SceneParams
 from toy_data import toy_clusters
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -116,8 +116,11 @@ SCENE_FIELDS = {
 
 @FUZZ
 @given(value=json_values(st.sampled_from(list(SCENE_FIELDS))) | some_of(SCENE_FIELDS))
+@example(value={"frame_rate_hz": MAX_FRAME_RATE_HZ})
+@example(value={"frame_rate_hz": 1000.0000000000001})
 def test_scene_file(fuzz_dir, value):
-    # Construction only: a valid scene may ask for any number of frames.
+    # Construction only: an accepted rate is in (0, MAX_FRAME_RATE_HZ], so a
+    # valid scene renders each built-in recording in at most 6,048 frames.
     path = write_json(fuzz_dir / "scene.json", value)
     try:
         scene = from_json_file(SceneParams, path)
@@ -126,6 +129,7 @@ def test_scene_file(fuzz_dir, value):
     else:
         assert isinstance(scene, SceneParams)
         assert all(map(math.isfinite, [scene.noise_std, scene.frame_rate_hz, scene.quantize_step]))
+        assert 0 < scene.frame_rate_hz <= MAX_FRAME_RATE_HZ
 
 
 @pytest.fixture(scope="module")

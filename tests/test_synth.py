@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import builtin_scripts_scalar, render_one, serialize_per_value
 from thermact.core import ADL7_LABELS, from_json, load_manifest
 from thermact.synth import (
+    MAX_FRAME_RATE_HZ,
     ActivityScript,
     SceneParams,
     ScriptKey,
@@ -48,6 +50,22 @@ class TestSceneParams:
     def test_offset_count(self, count):
         with pytest.raises(ValueError, match=f"must hold 64 values, got {count}"):
             SceneParams(ambient_pixel_offsets=np.zeros(count))
+
+    def test_offsets_must_be_finite(self):
+        # A NaN offset would survive the clip and fail the rendered sequence.
+        offsets = np.zeros(64)
+        offsets[5] = np.nan
+        with pytest.raises(ValueError, match="^ambient_pixel_offsets must be finite$"):
+            SceneParams(ambient_pixel_offsets=offsets)
+
+    def test_frame_rate_range(self):
+        # The slowest and fastest rates build; the next doubles outside are refused.
+        for rate in (5e-324, MAX_FRAME_RATE_HZ):
+            assert SceneParams(frame_rate_hz=rate).frame_rate_hz == rate
+        for rate in (0.0, float(np.nextafter(MAX_FRAME_RATE_HZ, np.inf)), 1e300, np.inf, np.nan):
+            message = rf"^frame_rate_hz must be in \(0, 1000\] Hz, got {re.escape(repr(rate))}$"
+            with pytest.raises(ValueError, match=message):
+                SceneParams(frame_rate_hz=rate)
 
     def test_dict_round_trip(self):
         scene = SceneParams(ambient_mean=22.0, noise_std=0.1)
@@ -262,16 +280,15 @@ class TestCorpus:
         with pytest.raises(ValueError):
             generate_corpus(tmp_path / "c", subjects=0, reps=1, seed=42)
 
-    # Only tiny rates: the frame count is duration x rate, so a huge rate
-    # allocates without bound.
     @pytest.mark.parametrize("rate", [1e-300, 0.4])
     def test_one_frame_activity_refused_before_the_manifest(self, tmp_path, rate):
         # load_manifest refuses an activity of fewer than 2 frames, so
-        # generate must not write a corpus holding one.
+        # generate refuses the scene before it writes anything.
         out = tmp_path / "c"
-        with pytest.raises(ValueError, match="s01r1_fall.csv: has 1 frames, needs at least 2"):
+        message = rf"^frame_rate_hz {rate!r} gives s01r1_fall.csv 1 frame\(s\), needs at least 2$"
+        with pytest.raises(ValueError, match=message):
             generate_corpus(out, subjects=1, reps=1, seed=42, scene=SceneParams(frame_rate_hz=rate))
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 def sequence_bits(seq):

@@ -242,20 +242,22 @@ MUTANTS = (
         "if not (self.allow_offgrid or (-pad <= k.x <= lim + pad and -pad <= k.y <= lim + pad)):",
         "if False:",
     ),
-    # synth: generate refuses counts and rates it cannot seed or count.
+    # synth: a scene's rate is bounded and its offsets finite where it is read.
+    Mutant("synth.frame_rate_bound", "<= MAX_FRAME_RATE_HZ:", ":"),
+    Mutant("synth.offsets_finite", "if not np.isfinite(offsets).all():", "if False:"),
+    # synth: generate refuses counts it cannot seed, and before it writes
+    # anything, a scene that gives an activity too few frames.
     Mutant("synth.subjects_seed_limit", '("subjects", subjects + 1)', '("subjects", 0)'),
     Mutant("synth.reps_seed_limit", '("reps", 1 + reps * len(ADL7_LABELS))', '("reps", 0)'),
-    Mutant("synth.frame_count_limit", "if frames == np.inf:", "if False:"),
+    Mutant(
+        "synth.activity_frames_checked",
+        "if (n := frame_count(scene, script)) < MIN_ACTIVITY_FRAMES:",
+        "if (n := frame_count(scene, script)) < 0:",
+    ),
     # synth: one recording's jitter is drawn in the table's order, and the
     # session pass hands each recording its own frames.
     Mutant("synth.jitter_order", '"x0": (0.0, 0.2), "x1": (0.0, 0.2)', '"x1": (0.0, 0.2), "x0": (0.0, 0.2)'),
     Mutant("synth.session_slice", "[end - len(t) : end]", "[end - len(t) + 1 : end + 1]"),
-    # cli: a scene whose frame rate overflows the frame count is named.
-    Mutant(
-        "cli.scene_overflow_named",
-        'raise ConfigError(f"{args.scene}: {exc}") from None',
-        "raise ConfigError(str(exc)) from None",
-    ),
 )
 
 
