@@ -24,12 +24,12 @@ rows whose margin it violates, and each epoch evaluates every active class's
 objective in one batch. Each class stops on its own, at the first epoch whose
 objective moved by at most `tolerance` relative to the previous epoch's (or
 at `max_epochs`); its weights then freeze while the others go on. Most steps
-violate no class's margin; a step whose sample's lowest margin, estimated
-from the last margin matrix and the shrinks since, clears 1 by more than its
-rounding bound only shrinks the weights and skips the margin product. An
-epoch's objectives read the same kept margin matrix, scaled by the shrinks
-since it was taken. The weights equal those of training the classes one at
-a time, bit for bit.
+violate no class's margin, so the margin matrix is taken only after an
+update; a step whose sample's lowest margin, estimated from that matrix and
+the shrinks since, clears 1 by more than a rounding bound fixed for the run
+only shrinks the weights. An epoch's objectives read the same kept margin
+matrix, scaled by the shrinks since it was taken. The weights equal those
+of training the classes one at a time, bit for bit.
 
 Non-finite features are refused in training and in prediction, and so are
 non-finite scores (a loaded model's weights may overflow on finite
@@ -142,32 +142,25 @@ def _train_ovr(
     the epochs it ran, whether it converged before `max_epochs` and its
     objective at its last epoch.
 
-    The margins and objectives come from matrix products, which may round
-    differently from a one-class dot product: by at most 2*n*u times the sum
-    of the terms' magnitudes (n = D+1 terms, unit roundoff u). `slack` bounds
-    that with room to spare, so a batched value that lies farther than its
-    bound from its threshold decides as the one-class value would; one that
-    lies closer is recomputed one class at a time. So every step and every
-    stop matches training the classes one at a time, bit for bit.
+    Batched margins and objectives may round differently from one-class dot
+    products. A batched value farther than its rounding bound from its
+    threshold decides as the one-class value would, and one closer is
+    recomputed one class at a time, so every step and stop matches training
+    the classes one at a time, bit for bit.
 
-    Most steps violate no margin, so a step first checks an estimate: the
-    lowest margin of its sample over the active classes in the kept margin
-    matrix M = `Ya * (Wa @ Zb.T)`, times the product `scale` of the shrink
-    factors applied since M was taken; an epoch's objectives read their
-    margins as `scale * M` too. M is taken again (a refresh) after each
-    update, and at an epoch end once more than max(n, m) shrinks have passed
-    since the last refresh, so s <= max(n, m) + m shrinks lie between M and
-    a margin read from it. Rounding is monotone and the factors are
-    non-negative, so the estimate is no larger than any active class's
-    scaled margin, and that differs from the one-class margin by at most
-    (2n + 2s + 1)*u*|w||z|: n each from the matrix product and the one-class
-    dot product, s each from the shrinks of the weights and of `scale`, and
-    one from the scaling, where |w| <= `wref`, the bound `wmax` when M was
-    taken. That is below `tie` = slack * (1 + wref * |z|), as slack =
-    16*max(n, m)*u, and an epoch's `err` uses max(wmax, wref). A step whose
-    estimate is at least 1 + tie only shrinks the weights; every other step
-    is taken exactly as above. The refresh at an epoch end only keeps s
-    within the bound; no weight bit shows it.
+    A step first checks an estimate: its sample's lowest margin over the
+    active classes in M = `Ya * (Wa @ Zb.T)`, taken after each update, times
+    the product `scale` of the shrinks since; an epoch's objectives read
+    `scale * M` too. The estimate is no larger than any active class's
+    scaled margin (rounding is monotone, the factors non-negative), which is
+    within (2n + 2s + 1)*u*|w||z| of the one-class margin (n = D+1 terms,
+    s <= max_epochs*m shrinks since M, unit roundoff u); `slack` =
+    16*(n + max_epochs*m)*u covers the factor. Each Pegasos step makes w a
+    convex combination of w and y*z/lam, so |w| <= max|z|/lam, doubled as
+    `wbound` for rounding: a step whose estimate is at least 1 + tie, tie =
+    slack*(1 + wbound*|z|), only shrinks the weights. An epoch's `err`
+    bounds |w| when M was taken by the tighter 2*|w|/scale. The bounds only
+    choose a path; no weight bit shows them.
     """
     C, m = Y.shape
     lam = 1.0 / (cfg.regularization_c * m)
@@ -177,19 +170,19 @@ def _train_ovr(
         )
     tol = cfg.tolerance
     rng = np.random.default_rng(cfg.seed)
-    shrinks_max = max(Zb.shape[1], m)  # an epoch end refreshes M after more shrinks than this
-    slack = 8.0 * shrinks_max * np.finfo(np.float64).eps
+    slack = 8.0 * (Zb.shape[1] + cfg.max_epochs * m) * np.finfo(np.float64).eps
     ZbT = Zb.T
     znorm = np.sqrt(np.einsum("ij,ij->i", Zb, Zb)).tolist()
     zmax = max(znorm)
+    wbound = 2.0 * zmax / lam
+    ties = [slack * (1.0 + wbound * zn) for zn in znorm]
     W = np.zeros((C, Zb.shape[1]))
     epochs = [cfg.max_epochs] * C
     converged = [False] * C
     active = list(range(C))
     Wa, Ya, YaT = W.copy(), Y, Y.T.tolist()
-    wmax = 0.0  # bounds the norm of every active row of Wa
-    # The kept margin matrix, its column minima, the shrinks since, and wmax and t when taken.
-    M, low, scale, wref, t_ref = np.zeros((C, m)), [0.0] * m, 1.0, 0.0, 0
+    # The kept margin matrix, its column minima and the shrinks since it was taken.
+    M, low, scale = np.zeros((C, m)), [0.0] * m, 1.0
     t = 0
     prev_obj = prev_err = W_prev = None
     for epoch in range(1, cfg.max_epochs + 1):
@@ -199,8 +192,7 @@ def _train_ovr(
             shrink = 1.0 - eta * lam
             Wa *= shrink
             scale *= shrink
-            zn = znorm[i]
-            tie = slack * (1.0 + wref * zn)
+            tie = ties[i]
             if scale * low[i] >= 1.0 + tie:
                 continue
             z, y = Zb[i], YaT[i]
@@ -210,18 +202,14 @@ def _train_ovr(
             if viol:
                 for k in viol:
                     Wa[k] += (eta * y[k]) * z
-                wmax += eta * zn
                 M = Ya * (Wa @ ZbT)
-                low, scale, wref, t_ref = M.min(axis=0).tolist(), 1.0, wmax, t
-        if t - t_ref > shrinks_max:
-            M = Ya * (Wa @ ZbT)
-            low, scale, wref, t_ref = M.min(axis=0).tolist(), 1.0, wmax, t
+                low, scale = M.min(axis=0).tolist(), 1.0
         hinge = np.maximum(0.0, 1.0 - scale * M)
         sq = np.einsum("cd,cd->c", Wa, Wa).tolist()
         hinge_sum = np.add.reduce(hinge, axis=1).tolist()
         obj = [0.5 * lam * s + h / m for s, h in zip(sq, hinge_sum)]  # h / m: the bits of mean()
-        wmax = math.sqrt(max(sq))
-        err = slack * (1.0 + 2.0 * max(obj) + max(wmax, wref) * zmax)
+        # 2 * |w| / scale bounds the rows' norm when M was taken.
+        err = slack * (1.0 + 2.0 * max(obj) + 2.0 * math.sqrt(max(sq)) / scale * zmax)
         if prev_obj is not None:
             stop, near = [], (1.0 + tol) * (prev_err + err)
             for k, (before, after) in enumerate(zip(prev_obj, obj)):

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .classifier import RowError, load_model, predict_batch, save_model, train
 from .config import PipelineConfig, apply_overrides, config_keys
-from .core import ThermactError, from_json_file, load_manifest, read_sequence
+from .core import ConfigError, ThermactError, from_json_file, load_manifest, read_sequence
 # loso_split stays bound here: perfbench's tracing test calls cli.loso_split.
 from .evaluate import loso_split, prepare_features, run_pipeline_cv, sequence_features
 from .preprocess import estimate_background
@@ -42,9 +42,12 @@ def _effective_config(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     scene = from_json_file(SceneParams, args.scene) if args.scene else None
-    summary = generate_corpus(
-        args.out, subjects=args.subjects, reps=args.reps, seed=args.seed, scene=scene
-    )
+    try:
+        summary = generate_corpus(
+            args.out, subjects=args.subjects, reps=args.reps, seed=args.seed, scene=scene
+        )
+    except ConfigError as exc:  # the scene gives an activity too few frames
+        raise ConfigError(f"{args.scene}: {exc}") from None
     print(
         f"wrote {summary.sequence_count} sequences + background to {args.out} "
         f"(manifest: {summary.manifest_path}, clamped values: {summary.clamped_values})"

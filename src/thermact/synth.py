@@ -36,6 +36,7 @@ from .core import (
     TEMP_MAX_C,
     TEMP_MIN_C,
     BackgroundEntry,
+    ConfigError,
     DatasetManifest,
     ManifestEntry,
     ThermalSequence,
@@ -47,6 +48,7 @@ from .core import (
 _OFFSET_SEED = 8833
 
 MAX_FRAME_RATE_HZ = 1000.0  # the longest built-in recording (6.05 s) then has <= 6,048 frames
+MAX_DURATION_S = 600.0  # a script then renders at most 600,000 frames at MAX_FRAME_RATE_HZ
 
 DEFAULT_DURATIONS_S = {
     "fall": 1.0,
@@ -129,8 +131,11 @@ class ActivityScript:
 
     def __post_init__(self):
         object.__setattr__(self, "keys", tuple(self.keys))
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not 0 < self.duration_s <= MAX_DURATION_S:
+            raise ValueError(
+                f"duration_s must be positive and at most {MAX_DURATION_S:g} s,"
+                f" got {self.duration_s!r}"
+            )
         if not self.keys:
             raise ValueError("script needs at least one key")
         us = [k.u for k in self.keys]
@@ -449,7 +454,7 @@ def generate_corpus(
     for _, session_id, scripts, _ in sessions:
         for label, script in zip(ADL7_LABELS, scripts):
             if (n := frame_count(scene, script)) < MIN_ACTIVITY_FRAMES:
-                raise ValueError(
+                raise ConfigError(
                     f"frame_rate_hz {scene.frame_rate_hz!r} gives {session_id}_{label}.csv"
                     f" {n} frame(s), needs at least {MIN_ACTIVITY_FRAMES}"
                 )

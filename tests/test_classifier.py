@@ -160,8 +160,8 @@ def corpus_features(tmp_path_factory):
 def margin_products(X, labels, cfg, classes):
     """How many times `train` took the margin matrix `Wa @ Zb.T` of all samples.
 
-    Training takes it after each updating step and at the epoch ends that
-    refresh it, and multiplies by the transposed feature matrix nowhere else.
+    Training takes it after each updating step and multiplies by the
+    transposed feature matrix nowhere else.
     """
     products = []
 
@@ -302,20 +302,33 @@ class TestLockstepMatchesPerClass:
             model = assert_matches_per_class(X_fold, labels_fold, cfg, manifest.label_set)
             assert model.epochs.count(cfg.max_epochs) > len(model.epochs) // 2
 
-    def test_margins_refreshed_at_epoch_ends(self):
-        # Separable clusters at n = 3, m = 6 with no class converging: stretches
-        # of more than max(n, m) shrinks pass without an update, so some epoch
-        # ends take the margin matrix again. Every other product follows an
-        # update, one per exact step.
+    def test_margins_taken_only_after_updates(self):
+        # Separable clusters at n = 3, m = 6 with no class converging: long
+        # stretches of shrinks pass without an update, and the epoch ends read
+        # margins kept from the last update. One product per updating step.
         X, labels = toy_clusters(2, 3, 2, seed=0)
         classes = ("class_0", "class_1")
         cfg = SvmConfig(tolerance=1e-300, max_epochs=60)
         updates = set()
         train_per_class(X, labels, cfg, classes, updates)
         assert exact_steps(X, labels, cfg, classes) == len(updates)
-        assert margin_products(X, labels, cfg, classes) > len(updates)
+        assert margin_products(X, labels, cfg, classes) == len(updates)
         model = assert_matches_per_class(X, labels, cfg, classes)
         assert model.epochs == (60, 60)
+
+    def test_long_run_keeps_the_skip_band_tight(self):
+        # 2000 epochs of m = 12: the rounding bound covers every shrink a
+        # kept margin can see, yet the exact path still takes only the
+        # updating steps, and no margin product is taken without an update.
+        X, labels = toy_clusters(3, 4, 3, seed=1)
+        classes = ("class_0", "class_1", "class_2")
+        cfg = SvmConfig(tolerance=1e-300, max_epochs=2000)
+        updates = set()
+        train_per_class(X, labels, cfg, classes, updates)
+        assert exact_steps(X, labels, cfg, classes) == len(updates)
+        assert margin_products(X, labels, cfg, classes) == len(updates)
+        model = assert_matches_per_class(X, labels, cfg, classes)
+        assert model.epochs == (2000,) * 3
 
     def test_tolerance_on_an_epochs_own_change(self, clusters):
         # Tolerance equal to the relative objective change of a record-low

@@ -666,7 +666,12 @@ class TestMalformedSettings:
         out = tmp_path / "out"
         args = ["generate", "--out", str(out), "--subjects", "2", "--reps", "2"]
         assert main(args + ["--scene", str(scene_path)]) == 1
-        one_error_line(capsys, f"frame_rate_hz {rate} gives s01r1_fall.csv 1 frame")
+        err = capsys.readouterr().err
+        got = repr(float(rate))
+        assert err == (
+            f"error: {scene_path}: frame_rate_hz {got} gives s01r1_fall.csv 1 frame(s),"
+            " needs at least 2\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import builtin_scripts_scalar, render_one, serialize_per_value
 from thermact.core import ADL7_LABELS, from_json, load_manifest
 from thermact.synth import (
+    MAX_DURATION_S,
     MAX_FRAME_RATE_HZ,
     ActivityScript,
     SceneParams,
@@ -92,12 +93,20 @@ class TestActivityScript:
             (1.0, [0.6, 0.4], "non-decreasing"),
             (1.0, [-0.1, 1.0], "within \\[0, 1\\]"),
             (1.0, [0.0, 1.1], "within \\[0, 1\\]"),
+            (np.nan, [0.0, 1.0], "at most 600 s, got nan"),
+            (np.inf, [0.0, 1.0], "at most 600 s, got inf"),
+            (1e306, [0.0, 1.0], "at most 600 s, got 1e\\+306"),
+            (float(np.nextafter(MAX_DURATION_S, np.inf)), [0.0, 1.0], "at most 600 s"),
         ],
     )
     def test_duration_and_key_rules(self, duration, us, message):
         keys = tuple(ScriptKey(u, 3.5, 3.5, 1.0, 5.0) for u in us)
         with pytest.raises(ValueError, match=message):
             ActivityScript(duration_s=duration, keys=keys)
+
+    @pytest.mark.parametrize("duration", [5e-324, MAX_DURATION_S])
+    def test_duration_bounds_accepted(self, duration):
+        ActivityScript(duration_s=duration, keys=(ScriptKey(0.0, 3.5, 3.5, 1.0, 5.0),))
 
     def test_offgrid_path_rejected_unless_allowed(self):
         keys = (ScriptKey(0.0, 20.0, 3.5, 1.0, 5.0),)

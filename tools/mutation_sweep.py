@@ -134,14 +134,17 @@ MUTANTS = (
     # classifier.train: the labels must fit the rows and the class list.
     Mutant("classifier.train_label_count", "if len(labels) != X.shape[0]:", "if False:"),
     Mutant("classifier.train_unknown_labels", "if unknown:", "if False:"),
-    # classifier._train_ovr: a step the estimate clears only shrinks, an
-    # epoch's objectives scale the kept margins by the shrinks since, and an
-    # epoch end refreshes them after max(n, m) shrinks. Skipping and the
-    # refresh leave every weight bit as it is; the exact-step and
-    # margin-product counts see them.
+    # classifier._train_ovr: a step the estimate clears only shrinks, the
+    # margins taken after an update start a new product of shrinks, and an
+    # epoch's objectives scale the kept margins by that product. Skipping
+    # leaves every weight bit as it is; the exact-step count sees it.
     Mutant("classifier.skip_never", "if scale * low[i] >= 1.0 + tie:", "if False:"),
+    Mutant(
+        "classifier.refresh_resets_scale",
+        "low, scale = M.min(axis=0).tolist(), 1.0",
+        "low = M.min(axis=0).tolist()",
+    ),
     Mutant("classifier.epoch_estimate_scale", "1.0 - scale * M", "1.0 - M"),
-    Mutant("classifier.epoch_refresh", "if t - t_ref > shrinks_max:", "if False:"),
     # classifier.save_model: the embedded config is the one the model trained under.
     Mutant("classifier.save_config_agrees", "if config.svm != model.train_config:", "if False:"),
     # classifier.load_model: every check on a model file.
@@ -231,7 +234,10 @@ MUTANTS = (
     Mutant("evaluate.confusion_non_negative", "if (counts < 0).any():", "if False:"),
     # synth: the rules a scene and an activity script obey.
     Mutant("synth.offset_count", "if offsets.shape != (PIXEL_COUNT,):", "if False:"),
-    Mutant("synth.script_duration", "if self.duration_s <= 0:", "if False:"),
+    Mutant(
+        "synth.script_duration", "if not 0 < self.duration_s <=", "if not -1 < self.duration_s <="
+    ),
+    Mutant("synth.script_duration_bound", "self.duration_s <= MAX_DURATION_S:", "self.duration_s:"),
     Mutant("synth.script_keys", "if not self.keys:", "if False:"),
     Mutant("synth.key_order", "if us != sorted(us) or", "if"),
     Mutant("synth.key_u_low", "or us[0] < 0", ""),
@@ -258,6 +264,10 @@ MUTANTS = (
     # session pass hands each recording its own frames.
     Mutant("synth.jitter_order", '"x0": (0.0, 0.2), "x1": (0.0, 0.2)', '"x1": (0.0, 0.2), "x0": (0.0, 0.2)'),
     Mutant("synth.session_slice", "[end - len(t) : end]", "[end - len(t) + 1 : end + 1]"),
+    # cli.cmd_generate: a scene too slow for an activity is refused naming the scene file.
+    Mutant(
+        "cli.generate_names_scene", 'raise ConfigError(f"{args.scene}: {exc}") from None', "raise"
+    ),
 )
 
 
