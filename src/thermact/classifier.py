@@ -63,7 +63,10 @@ class ModelFormatError(ThermactError):
 
 @dataclass(frozen=True, eq=False)
 class SvmModel:
-    """Per-class weights and biases plus the training-time scaler."""
+    """Per-class weights and biases plus the training-time scaler.
+
+    Construction copies the arrays to read-only float64 and refuses (ValueError)
+    disagreeing shapes, a non-finite value or a `scaler_std` below STD_FLOOR."""
 
     classes: tuple[str, ...]
     weights: np.ndarray  # (C, D)
@@ -77,6 +80,19 @@ class SvmModel:
     epochs: tuple[int, ...] = ()
     converged: tuple[bool, ...] = ()
     objectives: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        arrays = [np.array(getattr(self, key), dtype=np.float64) for key in ARRAY_KEYS]
+        n, dim = len(self.classes), arrays[2].size
+        if [arr.shape for arr in arrays] != [(n, dim), (n,), (dim,), (dim,)]:
+            raise ValueError("inconsistent model dimensions")
+        for key, arr in zip(ARRAY_KEYS, arrays):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{key} holds a non-finite value")
+            arr.flags.writeable = False
+            object.__setattr__(self, key, arr)
+        if (self.scaler_std < STD_FLOOR).any():  # train writes 1.0 in place of a smaller std
+            raise ValueError(f"scaler_std must be at least {STD_FLOOR}")
 
     @property
     def dimension(self) -> int:
@@ -269,30 +285,28 @@ def train(
     if unknown:
         raise ValueError(f"labels outside the class list: {sorted(unknown)}")
 
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is refused below
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    unusable = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if unusable.size:
+        j = unusable[0]
+        raise ValueError(f"feature column {j} cannot be standardized: its mean or std overflows")
     std = np.where(std < STD_FLOOR, 1.0, std)
     Z = (X - mean) / std
     Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
 
     y_index = np.array([ordered.index(l) for l in labels])
     Y = np.where(y_index == np.arange(len(ordered))[:, None], 1.0, -1.0)
-    non_finite = f"regularization_c {cfg.regularization_c!r} gives non-finite weights"
     try:
         with np.errstate(over="raise", invalid="raise"):
             W, epochs, converged, objectives = _train_ovr(Zb, Y, cfg)
     except FloatingPointError as exc:
-        raise ValueError(non_finite) from exc
-    if not np.isfinite(W).all():
-        raise ValueError(non_finite)
-    weights, biases = np.ascontiguousarray(W[:, :-1]), W[:, -1].copy()
-
-    for arr in (weights, biases, mean, std):
-        arr.flags.writeable = False
+        c = cfg.regularization_c
+        raise ValueError(f"regularization_c {c!r} gives non-finite weights") from exc
     return SvmModel(
         classes=ordered,
-        weights=weights,
-        biases=biases,
+        weights=W[:, :-1],
+        biases=W[:, -1],
         scaler_mean=mean,
         scaler_std=std,
         train_config=cfg,
@@ -377,25 +391,7 @@ def load_model(path: str | Path) -> tuple[SvmModel, PipelineConfig]:
     if bad:
         key, got = bad[0][0], reprlib.repr(bad[0][1])
         raise ModelFormatError(f"{path}: {key} holds a non-finite or non-numeric value {got}")
-    weights, biases, mean, std = (arr.astype(np.float64) for arr in arrays)
-    dim = mean.size
-    if (
-        weights.shape != (len(classes), dim)
-        or biases.shape != (len(classes),)
-        or mean.shape != (dim,)
-        or std.shape != (dim,)
-    ):
-        raise ModelFormatError(f"{path}: inconsistent model dimensions")
-    if (std < STD_FLOOR).any():  # train writes 1.0 in place of a smaller std
-        raise ModelFormatError(f"{path}: scaler_std must be at least {STD_FLOOR}")
-    for arr in (weights, biases, mean, std):
-        arr.flags.writeable = False
-    model = SvmModel(
-        classes=tuple(classes),
-        weights=weights,
-        biases=biases,
-        scaler_mean=mean,
-        scaler_std=std,
-        train_config=config.svm,
-    )
-    return model, config
+    try:
+        return SvmModel(tuple(classes), *arrays, train_config=config.svm), config
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None

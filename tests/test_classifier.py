@@ -412,6 +412,18 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="row 5"):
             train(X, labels)
 
+    @pytest.mark.parametrize("big", [1e308, 1e200])
+    def test_train_refuses_a_column_it_cannot_standardize(self, big):
+        # Finite features, but a column whose sum (1e308) or squared
+        # deviations (1e200) overflow: its z-scores would be NaN or 0, and
+        # a std of inf would make a model file no reader accepts.
+        X, labels = toy_clusters(n_classes=3, per_class=5, dim=4, seed=0)
+        X[:, 2] = np.where(np.arange(len(X)) < 8, big, -big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^feature column 2 cannot be standardized"):
+                train(X, labels)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_predict_rejects(self, clusters, value):
         X, labels = clusters
@@ -641,6 +653,60 @@ class TestInvariants:
         model = train(X, labels, SvmConfig(max_epochs=200))
         pred, _ = predict_batch(model, X)
         assert pred == labels
+
+
+class TestModelChecksItself:
+    """An SvmModel holds read-only float64 copies of agreeing, finite arrays,
+    whether training, a model file or a direct call builds it."""
+
+    @staticmethod
+    def parts(**changes):
+        parts = dict(
+            classes=("a", "b"),
+            weights=np.zeros((2, 3)),
+            biases=np.zeros(2),
+            scaler_mean=np.zeros(3),
+            scaler_std=np.ones(3),
+            train_config=SvmConfig(),
+        )
+        return {**parts, **changes}
+
+    def test_arrays_are_read_only_float64_copies(self, clusters, tmp_path):
+        X, labels = clusters
+        trained, path = train(X, labels), tmp_path / "model.json"
+        save_model(trained, path, PipelineConfig())
+        weights = np.array([[1, 2, 3], [4, 5, 6]])
+        built = SvmModel(**self.parts(weights=weights, biases=[0, 1]))
+        assert weights.flags.writeable and not np.shares_memory(built.weights, weights)
+        assert built.weights.tolist() == weights.tolist()
+        for model in (trained, load_model(path)[0], built):
+            for key in classifier.ARRAY_KEYS:
+                arr = getattr(model, key)
+                assert arr.dtype == np.float64 and not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"weights": np.zeros((3, 3))}, "^inconsistent model dimensions$"),
+            ({"weights": np.zeros((2, 4))}, "^inconsistent model dimensions$"),
+            ({"biases": np.zeros(3)}, "^inconsistent model dimensions$"),
+            ({"scaler_mean": np.zeros((1, 3))}, "^inconsistent model dimensions$"),
+            ({"scaler_std": np.ones(2)}, "^inconsistent model dimensions$"),
+            ({"classes": ("a",)}, "^inconsistent model dimensions$"),
+            ({"weights": [[0, 0, np.nan], [0, 0, 0]]}, "^weights holds a non-finite value$"),
+            ({"biases": [0, np.inf]}, "^biases holds a non-finite value$"),
+            ({"scaler_mean": [0, -np.inf, 0]}, "^scaler_mean holds a non-finite value$"),
+            ({"scaler_std": [1, np.nan, 1]}, "^scaler_std holds a non-finite value$"),
+            ({"scaler_std": [1, np.inf, 1]}, "^scaler_std holds a non-finite value$"),
+            ({"scaler_std": [1, STD_FLOOR / 2, 1]}, f"^scaler_std must be at least {STD_FLOOR}$"),
+            ({"scaler_std": [1, 0, 1]}, f"^scaler_std must be at least {STD_FLOOR}$"),
+        ],
+    )
+    def test_refuses(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            SvmModel(**self.parts(**changes))
 
 
 class TestPersistence:

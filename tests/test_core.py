@@ -434,6 +434,20 @@ class TestManifest:
         ]
         assert str(path) in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "doctor", [lambda e: e.pop("label"), lambda e: e.update(label=7)], ids=["missing", "number"]
+    )
+    def test_entry_label_must_be_a_string(self, tmp_path, doctor):
+        path = _write_corpus(tmp_path, n_subjects=1, n_sessions=1)
+        data = json.loads(path.read_text())
+        doctor(data["entries"][2])
+        path.write_text(json.dumps(data))
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        assert excinfo.value.violations == [
+            'entry 2 (s0_r0_stand_still.csv): missing or non-string "label"'
+        ]
+
     def test_non_utf8_file_is_one_of_the_violations(self, tmp_path):
         path = _write_corpus(tmp_path, n_subjects=1, n_sessions=1)
         (tmp_path / "s0_r0_fall.csv").write_bytes(b"\xff\xfe20.0")

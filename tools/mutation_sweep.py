@@ -109,6 +109,8 @@ MUTANTS = (
         "core.label_set_distinct", "if len(set(label_set)) != len(label_set):", "if False:"
     ),
     Mutant("core.background_path_unique", "if bg.path in seen_paths:", "if False:"),
+    # core.load_manifest: an activity entry's label is a string.
+    Mutant("core.entry_label_string", 'if not isinstance(item.get("label"), str):', "if False:"),
     # core: reading and writing manifests; one problem is one error line.
     Mutant("core.manifest_one_line", "if len(self.violations) == 1:", "if False:"),
     Mutant("core.min_frames", "if len(seq) < min_frames:", "if False:"),
@@ -134,6 +136,26 @@ MUTANTS = (
     # classifier.train: the labels must fit the rows and the class list.
     Mutant("classifier.train_label_count", "if len(labels) != X.shape[0]:", "if False:"),
     Mutant("classifier.train_unknown_labels", "if unknown:", "if False:"),
+    # classifier.train: a column whose mean or std overflows is refused by name.
+    Mutant("classifier.train_column_standardizable", "if unusable.size:", "if False:"),
+    # classifier.SvmModel: every model's arrays agree in shape, are finite and
+    # keep a scaler_std of at least STD_FLOOR, however the model is built.
+    Mutant(
+        "classifier.model_bias_shape",
+        "[(n, dim), (n,), (dim,), (dim,)]",
+        "[(n, dim), arrays[1].shape, (dim,), (dim,)]",
+    ),
+    Mutant(
+        "classifier.model_std_shape",
+        "[(n, dim), (n,), (dim,), (dim,)]",
+        "[(n, dim), (n,), (dim,), arrays[3].shape]",
+    ),
+    Mutant("classifier.model_arrays_finite", "if not np.isfinite(arr).all():", "if False:"),
+    Mutant(
+        "classifier.model_std_floor",
+        "(self.scaler_std < STD_FLOOR).any()",
+        "(self.scaler_std <= 0).any()",
+    ),
     # classifier._train_ovr: a step the estimate clears only shrinks, the
     # margins taken after an update start a new product of shrinks, and an
     # epoch's objectives scale the kept margins by that product. Skipping
@@ -147,7 +169,7 @@ MUTANTS = (
     Mutant("classifier.epoch_estimate_scale", "1.0 - scale * M", "1.0 - M"),
     # classifier.save_model: the embedded config is the one the model trained under.
     Mutant("classifier.save_config_agrees", "if config.svm != model.train_config:", "if False:"),
-    # classifier.load_model: every check on a model file.
+    # classifier.load_model: every check on a model file's JSON.
     Mutant(
         "classifier.model_unreadable",
         'raise ThermactError(f"cannot read model from {path}: {exc}") from exc',
@@ -167,8 +189,6 @@ MUTANTS = (
     Mutant("classifier.model_config_read", 'data["config"]', "{}"),
     Mutant("classifier.model_config_required", 'data["config"]', 'data.get("config", {})'),
     Mutant("classifier.model_config_object", "raise ModelFormatError(str(exc)) from None", "raise"),
-    Mutant("classifier.model_bias_shape", "or biases.shape != (len(classes),)", ""),
-    Mutant("classifier.model_std_shape", "or std.shape != (dim,)", ""),
     Mutant(
         "classifier.model_finite",
         "if not _number(v)]",
@@ -176,10 +196,9 @@ MUTANTS = (
     ),
     Mutant(
         "classifier.model_numbers_everywhere",
-        "zip(ARRAY_KEYS, arrays)",
-        "zip(ARRAY_KEYS[:3], arrays)",
+        "zip(ARRAY_KEYS, arrays) for v in",
+        "zip(ARRAY_KEYS[:3], arrays) for v in",
     ),
-    Mutant("classifier.model_std_floor", "(std < STD_FLOOR).any()", "(std <= 0).any()"),
     Mutant(
         "classifier.model_classes_list",
         "not isinstance(classes, list)",
