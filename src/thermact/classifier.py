@@ -14,8 +14,7 @@ epoch from the seed, with step size 1 / (lam * t) at the t-th update. The
 bias rides along as a constant unit feature, so it shares the step schedule's
 self-averaging (an update-indexed step and the augmented bias are what make
 this schedule converge; a step held fixed across each epoch leaves the bias
-doing an undamped random walk). No external solver, bit-reproducible given
-the seed.
+doing an undamped random walk). No external solver.
 
 All C binary problems of a training set draw the same permutations and the
 same step schedule, so they are trained in lockstep: each step shrinks the
@@ -29,7 +28,10 @@ update; a step whose sample's lowest margin, estimated from that matrix and
 the shrinks since, clears 1 by more than a rounding bound fixed for the run
 only shrinks the weights. An epoch's objectives read the same kept margin
 matrix, scaled by the shrinks since it was taken. The weights equal those
-of training the classes one at a time, bit for bit.
+of training the classes one at a time, bit for bit. Each product whose bits
+reach a weight, an objective or a score is an einsum, summed in one order on
+any BLAS kernel, so a seed gives the same model on every machine; BLAS
+products only pick a path.
 
 Non-finite features are refused in training and in prediction, and so are
 non-finite scores (a loaded model's weights may overflow on finite
@@ -41,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,9 @@ class SvmModel:
         if (self.scaler_std < STD_FLOOR).any():  # train writes 1.0 in place of a smaller std
             raise ValueError(f"scaler_std must be at least {STD_FLOOR}")
 
+    def __reduce__(self):  # a pickled or deep-copied model is rebuilt, so checked
+        return SvmModel, tuple(getattr(self, f.name) for f in fields(self))
+
     @property
     def dimension(self) -> int:
         return self.weights.shape[1]
@@ -101,8 +106,8 @@ class SvmModel:
     def decision_scores(self, features) -> np.ndarray:
         """Raw (N, D) features in, (N, C) scores out, one score per class.
 
-        Rows are scored one at a time, so a row's scores are the same bits in
-        any batch. A non-finite feature or score is a RowError naming its row.
+        One einsum sums each row alone, so its scores are the same bits in any
+        batch. A non-finite feature or score is a RowError naming its row.
         """
         X = _as_matrix(features)
         if X.shape[1] != self.dimension:
@@ -110,10 +115,9 @@ class SvmModel:
                 f"feature dimension {X.shape[1]} does not match model dimension {self.dimension}"
             )
         _require_finite(X, "feature")
-        scores = np.empty((len(X), len(self.classes)))
         with np.errstate(all="ignore"):  # a non-finite score is refused below
-            for i, row in enumerate(X):
-                scores[i] = ((row - self.scaler_mean) / self.scaler_std) @ self.weights.T + self.biases
+            Z = (X - self.scaler_mean) / self.scaler_std
+            scores = np.einsum("nd,cd->nc", Z, self.weights) + self.biases
         _require_finite(scores, "score")
         return scores
 
@@ -141,8 +145,8 @@ def _require_finite(X: np.ndarray, what: str) -> None:
 
 def _objective(w: np.ndarray, Zb: np.ndarray, y: np.ndarray, lam: float) -> float:
     """One class's primal objective, rounded as one-class training rounds it."""
-    hinge = np.maximum(0.0, 1.0 - y * (Zb @ w))
-    return float(0.5 * lam * (w @ w) + hinge.mean())
+    hinge = np.maximum(0.0, 1.0 - y * np.einsum("md,d->m", Zb, w))
+    return float(0.5 * lam * np.einsum("d,d", w, w) + hinge.mean())
 
 
 def _train_ovr(
@@ -151,32 +155,27 @@ def _train_ovr(
     """Pegasos on all C one-vs-rest problems of a training set at once.
 
     Zb is (m, D+1) with the constant bias column last; Y is (C, m) of +-1.
-    Every problem draws the same permutations and step schedule, so a step
-    is one (C, D+1) update of the still-active rows. A problem leaves the
-    active set, its weights frozen, at the end of the epoch where its own
-    objective stops moving. Returns the weights (C, D+1), and per problem
-    the epochs it ran, whether it converged before `max_epochs` and its
-    objective at its last epoch.
+    Returns the weights (C, D+1), and per problem the epochs it ran, whether
+    it converged before `max_epochs` and its objective at its last epoch.
 
-    Batched margins and objectives may round differently from one-class dot
-    products. A batched value farther than its rounding bound from its
-    threshold decides as the one-class value would, and one closer is
-    recomputed one class at a time, so every step and stop matches training
-    the classes one at a time, bit for bit.
+    An exact step's einsum gives each class the margin a one-class einsum
+    gives. An epoch's batched objective nearer its stop threshold than its
+    rounding bound is recomputed one class at a time, so every step and stop
+    matches training the classes one at a time, bit for bit.
 
     A step first checks an estimate: its sample's lowest margin over the
     active classes in M = `Ya * (Wa @ Zb.T)`, taken after each update, times
     the product `scale` of the shrinks since; an epoch's objectives read
     `scale * M` too. The estimate is no larger than any active class's
     scaled margin (rounding is monotone, the factors non-negative), which is
-    within (2n + 2s + 1)*u*|w||z| of the one-class margin (n = D+1 terms,
-    s <= max_epochs*m shrinks since M, unit roundoff u); `slack` =
-    16*(n + max_epochs*m)*u covers the factor. Each Pegasos step makes w a
-    convex combination of w and y*z/lam, so |w| <= max|z|/lam, doubled as
-    `wbound` for rounding: a step whose estimate is at least 1 + tie, tie =
-    slack*(1 + wbound*|z|), only shrinks the weights. An epoch's `err`
-    bounds |w| when M was taken by the tighter 2*|w|/scale. The bounds only
-    choose a path; no weight bit shows them.
+    within (2n + 2s + 1)*u*|w||z| of the one-class margin in any summation
+    order (n = D+1 terms, s <= max_epochs*m shrinks since M, unit roundoff
+    u); `slack` = 16*(n + max_epochs*m)*u covers the factor. Each Pegasos
+    step makes w a convex combination of w and y*z/lam, so |w| <= max|z|/lam,
+    doubled as `wbound` for rounding: a step whose estimate is at least
+    1 + tie, tie = slack*(1 + wbound*|z|), only shrinks the weights. An
+    epoch's `err` bounds |w| when M was taken by the tighter 2*|w|/scale.
+    The bounds only choose a path, so M may be a BLAS product.
     """
     C, m = Y.shape
     lam = 1.0 / (cfg.regularization_c * m)
@@ -208,13 +207,10 @@ def _train_ovr(
             shrink = 1.0 - eta * lam
             Wa *= shrink
             scale *= shrink
-            tie = ties[i]
-            if scale * low[i] >= 1.0 + tie:
+            if scale * low[i] >= 1.0 + ties[i]:
                 continue
             z, y = Zb[i], YaT[i]
-            margins = [yk * mk for yk, mk in zip(y, (Wa @ z).tolist())]
-            below = [k for k, mk in enumerate(margins) if mk < 1.0 + tie]
-            viol = [k for k in below if margins[k] < 1.0 - tie or y[k] * (z @ Wa[k]) < 1.0]
+            viol = [k for k, mk in enumerate(np.einsum("cd,d->c", Wa, z).tolist()) if y[k] * mk < 1.0]
             if viol:
                 for k in viol:
                     Wa[k] += (eta * y[k]) * z
@@ -300,6 +296,8 @@ def train(
     try:
         with np.errstate(over="raise", invalid="raise"):
             W, epochs, converged, objectives = _train_ovr(Zb, Y, cfg)
+            if not np.isfinite(objectives).all():  # einsum does not raise on overflow
+                raise FloatingPointError("non-finite objective")
     except FloatingPointError as exc:
         c = cfg.regularization_c
         raise ValueError(f"regularization_c {c!r} gives non-finite weights") from exc
@@ -327,11 +325,8 @@ def predict(model: SvmModel, feature) -> tuple[str, np.ndarray]:
 
 
 def predict_batch(model: SvmModel, features) -> tuple[list[str], np.ndarray]:
-    """Labels and (N, C) score matrix for an (N, D) feature matrix (N may be 0).
-
-    `decision_scores` scores each row on its own, so batch output is
-    bit-identical to one-at-a-time prediction.
-    """
+    """Labels and (N, C) score matrix for an (N, D) feature matrix (N may be 0),
+    bit-identical to one-at-a-time prediction."""
     scores = model.decision_scores(features)
     labels = [model.classes[i] for i in np.argmax(scores, axis=1)]
     return labels, scores

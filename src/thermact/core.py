@@ -204,6 +204,9 @@ class ThermalSequence:
         object.__setattr__(self, "pixels", pixels)
         object.__setattr__(self, "timestamps_ms", stamps)
 
+    def __reduce__(self):  # a pickled or deep-copied sequence is rebuilt, so checked
+        return ThermalSequence, (self.pixels, self.timestamps_ms)
+
     def __len__(self) -> int:
         return len(self.pixels)
 

@@ -64,13 +64,13 @@ def feature_matrix(
         raise ValueError(f"frames need {PIXEL_COUNT} pixels, got shape {stack.shape[1:]}")
     n = len(stack)
 
-    # (N, k, 64) coefficients -> per-pixel rows -> pixel-major flat layout.
-    temporal = np.abs(np.matmul(dct_matrix(lengths[0])[: cfg.temporal_k], stack))
+    # (N, k, 64) coefficients -> per-pixel rows -> pixel-major flat layout. An
+    # einsum, not a BLAS matmul, so the sums run in one order on every CPU.
+    temporal = np.abs(np.einsum("uf,nfp->nup", dct_matrix(lengths[0])[: cfg.temporal_k], stack))
     temporal = temporal.transpose(0, 2, 1).reshape(n, -1)
 
-    # Only the kept b x b corner is computed. This einsum gives each sequence
-    # the bits a one-sequence einsum gives; the separable form
-    # basis @ grids @ basis.T rounds differently.
+    # Only the kept b x b corner is computed. Each sequence gets the bits a
+    # one-sequence einsum gives; basis @ grids @ basis.T rounds differently.
     corner_basis = dct_matrix(GRID_SIZE)[: cfg.spatial_block]
     grids = stack.reshape(n, -1, GRID_SIZE, GRID_SIZE)
     spatial = np.abs(np.einsum("ur,nfrc,vc->nfuv", corner_basis, grids, corner_basis))

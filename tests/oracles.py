@@ -43,11 +43,11 @@ def naive_dct2(grid):
 def features_one_sequence(matrix, cfg):
     """One sequence's feature vector, computed from its own (F, 64) pixels.
 
-    The per-sequence path the batched `feature_matrix` replaced: a 2-D
-    matrix product for the temporal block and a one-sequence einsum for the
-    spatial block, concatenated.
+    The per-sequence path the batched `feature_matrix` replaced: one-sequence
+    einsums for the temporal and the spatial block, concatenated.
     """
-    temporal = np.abs(dct_matrix(len(matrix))[: cfg.temporal_k] @ matrix).T.reshape(-1)
+    temporal = np.abs(np.einsum("uf,fp->up", dct_matrix(len(matrix))[: cfg.temporal_k], matrix))
+    temporal = temporal.T.reshape(-1)
     grid_basis = dct_matrix(8)
     coeffs = np.einsum("ur,frc,vc->fuv", grid_basis, matrix.reshape(-1, 8, 8), grid_basis)
     b = cfg.spatial_block
@@ -74,12 +74,12 @@ def pegasos_binary(Zb, y, cfg, objectives=None, updates=None):
             t += 1
             eta = 1.0 / (lam * t)
             w *= 1.0 - eta * lam
-            if y[i] * (Zb[i] @ w) < 1.0:
+            if y[i] * np.einsum("d,d", Zb[i], w) < 1.0:
                 w += (eta * y[i]) * Zb[i]
                 if updates is not None:
                     updates.append(t)
-        hinge = np.maximum(0.0, 1.0 - y * (Zb @ w))
-        obj = 0.5 * lam * (w @ w) + hinge.mean()
+        hinge = np.maximum(0.0, 1.0 - y * np.einsum("md,d->m", Zb, w))
+        obj = 0.5 * lam * np.einsum("d,d", w, w) + hinge.mean()
         if objectives is not None:
             objectives.append(obj)
         if prev_obj is not None and abs(prev_obj - obj) <= cfg.tolerance * max(1.0, abs(prev_obj)):

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import functools
 import json
+import pickle
 import re
 import warnings
 
@@ -180,6 +182,14 @@ def margin_products(X, labels, cfg, classes):
 
 
 @pytest.fixture(scope="module")
+def default_corpus_features(tmp_path_factory):
+    """The default corpus (8 subjects x 3 sessions, seed 42) under the default config."""
+    out = tmp_path_factory.mktemp("default_corpus")
+    manifest = load_manifest(generate_corpus(out, subjects=8, reps=3, seed=42).manifest_path)
+    return prepare_features(manifest, 20, FeatureConfig())
+
+
+@pytest.fixture(scope="module")
 def timed_corpus_features(tmp_path_factory):
     """2 subjects x 1 session: the shape of each corpus a timed benchmark evaluate runs."""
     out = tmp_path_factory.mktemp("timed_corpus")
@@ -235,8 +245,9 @@ class TestLockstepMatchesPerClass:
         ],
     )
     def test_margins_on_the_threshold(self, X, n_classes, cfg):
-        # Exact small values put margins on or next to 1.0, where a batched
-        # product and a one-class dot product can round to opposite sides.
+        # Exact small values put margins on or next to 1.0, where only a
+        # strict test of a margin summed in the one-class order decides as
+        # one-class training does.
         labels = [f"k{i % n_classes}" for i in range(len(X))]
         assert_matches_per_class(X, labels, cfg, tuple(f"k{i}" for i in range(n_classes)))
 
@@ -584,15 +595,18 @@ class TestPredict:
         # mirror symmetry of the two binary problems: scores negate each other
         assert np.isclose(scores1[0], -scores1[1], atol=1e-9)
 
-    def test_batch_matches_single(self, clusters, rng):
-        X, labels = clusters
-        model = train(X, labels)
-        queries = rng.normal(0, 3, (25, X.shape[1]))
-        batch_labels, batch_scores = predict_batch(model, queries)
-        for i, q in enumerate(queries):
-            label, scores = predict(model, q)
-            assert label == batch_labels[i]
-            assert np.array_equal(scores, batch_scores[i])
+    def test_batch_matches_single(self, clusters, default_corpus_features, rng):
+        # Toy clusters, and the pipeline's own shape: 7 classes, D = 500.
+        for X, labels in (clusters, default_corpus_features):
+            model = train(X, labels)
+            queries = np.vstack([X, rng.normal(0, 3, (25, X.shape[1]))])
+            single = [predict(model, q) for q in queries]
+            for size in (1, 5, len(queries)):
+                batch_labels, batch_scores = predict_batch(model, queries[:size])
+                batch = zip(single[:size], batch_labels, batch_scores, strict=True)
+                for (label, scores), batch_label, batch_row in batch:
+                    assert label == batch_label
+                    assert scores.tobytes() == batch_row.tobytes()
 
     def test_empty_batch(self, clusters):
         X, labels = clusters
@@ -683,6 +697,20 @@ class TestModelChecksItself:
             for key in classifier.ARRAY_KEYS:
                 arr = getattr(model, key)
                 assert arr.dtype == np.float64 and not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 1.0
+
+    def test_pickled_and_deep_copied_models_are_read_only(self, clusters):
+        # Neither path calls __init__ unless the type says how to rebuild.
+        X, labels = clusters
+        trained = train(X, labels)
+        for kept in (pickle.loads(pickle.dumps(trained)), copy.deepcopy(trained)):
+            for field in dataclasses.fields(SvmModel):
+                if field.name not in classifier.ARRAY_KEYS:
+                    assert getattr(kept, field.name) == getattr(trained, field.name)
+            for key in classifier.ARRAY_KEYS:
+                arr = getattr(kept, key)
+                assert arr.tobytes() == getattr(trained, key).tobytes()
                 with pytest.raises(ValueError, match="read-only"):
                     arr.flat[0] = 1.0
 

@@ -2,13 +2,19 @@ import csv
 import filecmp
 import hashlib
 import json
+import os
+import platform
 import re
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermact
 from thermact.cli import build_parser, main
 from thermact.core import ThermactError, load_manifest
 from thermact.evaluate import prepare_features
@@ -470,6 +476,55 @@ class TestTrainPredict:
         assert "Traceback" not in err
 
 
+def run_on_kernel(data: Path, work: Path, coretype: str | None) -> tuple:
+    """stdout of train, LOSO evaluate, featurize and predict --scores, each in
+    a child process with OpenBLAS kernel `coretype` (None: the CPU's own), and
+    the model and report bytes they write. Outputs go to `work`, named alike
+    for every kernel, so that the printed paths agree too."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = str(Path(thermact.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    manifest = str(data / "manifest.json")
+    recordings = sorted(str(path) for path in data.glob("s0*.csv"))
+    commands = [
+        ["train", "--data", manifest, "--model", "model.json"],
+        ["evaluate", "--data", manifest, "--report", "report.json"],
+        ["featurize", "--data", manifest],
+        ["predict", "--scores", "--model", "model.json", "--background",
+         str(data / "background.csv"), *recordings],
+    ]
+    work.mkdir()
+    stdout = [
+        subprocess.run(
+            [sys.executable, "-m", "thermact.cli", *args],
+            cwd=work, env=env, capture_output=True, check=True,
+        ).stdout
+        for args in commands
+    ]
+    return stdout, (work / "model.json").read_bytes(), (work / "report.json").read_bytes()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in {"x86_64", "amd64"}, reason="x86-64 OpenBLAS kernels"
+)
+class TestSameBytesOnEveryKernel:
+    """numpy picks its OpenBLAS kernel from the CPU, and kernels sum a matrix
+    product in different orders. No output may depend on that order."""
+
+    @pytest.fixture(scope="class")
+    def default_kernel(self, tiny_corpus_dir, tmp_path_factory):
+        return run_on_kernel(tiny_corpus_dir, tmp_path_factory.mktemp("kernel") / "default", None)
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_outputs_match_the_default_kernel(self, tiny_corpus_dir, tmp_path, default_kernel, coretype):
+        stdout, model, report = run_on_kernel(tiny_corpus_dir, tmp_path / coretype, coretype)
+        assert model == default_kernel[1]
+        assert report == default_kernel[2]
+        assert stdout == default_kernel[0]
+
+
 class TestFeaturize:
     def test_featurize_csv(self, corpus_dir, tmp_path):
         out = tmp_path / "features.csv"
@@ -485,7 +540,7 @@ class TestFeaturize:
         # is written as its repr.
         assert main(["featurize", "--data", str(tiny_corpus_dir / "manifest.json")]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "55a2ef7ee8b08ad3e4cae4b59860f64d75beb399560b55001e98a48d5cd3a175"
+        assert digest == "122a8eb66a6d890e020a74b089db7ecf7345ab5c06183c0e050b0e2ee832058a"
 
     def test_ids_with_commas_and_quotes(self, corpus_dir, tmp_path):
         data = tmp_path / "data"

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 
 import numpy as np
@@ -114,6 +116,15 @@ class TestThermalSequence:
         seq = ThermalSequence(pixels=pixels)
         pixels[0, 0] = 30.0
         assert seq.pixels[0, 0] == 20.0
+
+    def test_pickled_and_deep_copied_sequences_are_read_only(self):
+        # Neither path calls __init__ unless the type says how to rebuild.
+        seq = constant_sequence(20.0, 21.0, timestamps_ms=[0, 100])
+        for kept in (pickle.loads(pickle.dumps(seq)), copy.deepcopy(seq)):
+            assert kept == seq and kept.timestamps_ms.dtype == np.int64
+            for arr in (kept.pixels, kept.timestamps_ms):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 1
 
 
 class TestParseSequence:

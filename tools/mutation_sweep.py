@@ -129,15 +129,23 @@ MUTANTS = (
     Mutant("config.target_len", "self.target_len >= 1", "self.target_len >= 0"),
     Mutant("config.protocol", "if self.protocol not in PROTOCOLS:", "if False:"),
     Mutant("config.k", "self.k >= 2", "self.k >= 1"),
-    # classifier.SvmModel.decision_scores: features of the model's dimension.
+    # classifier.SvmModel.decision_scores: features of the model's dimension,
+    # and each row scored as itself.
     Mutant("classifier.score_dimension", "if X.shape[1] != self.dimension:", "if False:"),
+    Mutant(
+        "classifier.score_first_row_only",
+        "Z = (X - self.scaler_mean)",
+        "Z = 0 * X + (X[:1] - self.scaler_mean)",
+    ),
     # classifier.predict: its scores own their data, keeping no (1, C) base alive.
     Mutant("classifier.predict_owns_scores", "[0].copy()", "[0]"),
     # classifier.train: the labels must fit the rows and the class list.
     Mutant("classifier.train_label_count", "if len(labels) != X.shape[0]:", "if False:"),
     Mutant("classifier.train_unknown_labels", "if unknown:", "if False:"),
-    # classifier.train: a column whose mean or std overflows is refused by name.
+    # classifier.train: a column whose mean or std overflows is refused by name,
+    # and an objective that overflows inside an einsum, which raises nothing.
     Mutant("classifier.train_column_standardizable", "if unusable.size:", "if False:"),
+    Mutant("classifier.objectives_finite", "if not np.isfinite(objectives).all():", "if False:"),
     # classifier.SvmModel: every model's arrays agree in shape, are finite and
     # keep a scaler_std of at least STD_FLOOR, however the model is built.
     Mutant(
@@ -159,8 +167,10 @@ MUTANTS = (
     # classifier._train_ovr: a step the estimate clears only shrinks, the
     # margins taken after an update start a new product of shrinks, and an
     # epoch's objectives scale the kept margins by that product. Skipping
-    # leaves every weight bit as it is; the exact-step count sees it.
-    Mutant("classifier.skip_never", "if scale * low[i] >= 1.0 + tie:", "if False:"),
+    # leaves every weight bit as it is; the exact-step count sees it. An exact
+    # step updates a class whose margin is below 1, not at it.
+    Mutant("classifier.skip_never", "if scale * low[i] >= 1.0 + ties[i]:", "if False:"),
+    Mutant("classifier.exact_strict", "if y[k] * mk < 1.0]", "if y[k] * mk <= 1.0]"),
     Mutant(
         "classifier.refresh_resets_scale",
         "low, scale = M.min(axis=0).tolist(), 1.0",
