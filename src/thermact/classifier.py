@@ -43,13 +43,13 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import PipelineConfig, SvmConfig
-from .core import ConfigError, ThermactError, _number, from_json
+from .core import ConfigError, ThermactError, _Checked, _number, from_json
 
 MODEL_FORMAT_VERSION = 1
 ARRAY_KEYS = ("weights", "biases", "scaler_mean", "scaler_std")  # a model file's number arrays
@@ -64,7 +64,7 @@ class ModelFormatError(ThermactError):
 
 
 @dataclass(frozen=True, eq=False)
-class SvmModel:
+class SvmModel(_Checked):
     """Per-class weights and biases plus the training-time scaler.
 
     Construction copies the arrays to read-only float64 and refuses (ValueError)
@@ -84,20 +84,15 @@ class SvmModel:
     objectives: tuple[float, ...] = ()
 
     def __post_init__(self):
-        arrays = [np.array(getattr(self, key), dtype=np.float64) for key in ARRAY_KEYS]
+        arrays = [self._frozen_copy(key, getattr(self, key), np.float64) for key in ARRAY_KEYS]
         n, dim = len(self.classes), arrays[2].size
         if [arr.shape for arr in arrays] != [(n, dim), (n,), (dim,), (dim,)]:
             raise ValueError("inconsistent model dimensions")
         for key, arr in zip(ARRAY_KEYS, arrays):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{key} holds a non-finite value")
-            arr.flags.writeable = False
-            object.__setattr__(self, key, arr)
         if (self.scaler_std < STD_FLOOR).any():  # train writes 1.0 in place of a smaller std
             raise ValueError(f"scaler_std must be at least {STD_FLOOR}")
-
-    def __reduce__(self):  # a pickled or deep-copied model is rebuilt, so checked
-        return SvmModel, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dimension(self) -> int:
@@ -300,7 +295,7 @@ def train(
                 raise FloatingPointError("non-finite objective")
     except FloatingPointError as exc:
         c = cfg.regularization_c
-        raise ValueError(f"regularization_c {c!r} gives non-finite weights") from exc
+        raise ValueError(f"regularization_c {c!r} gives non-finite values in training") from exc
     return SvmModel(
         classes=ordered,
         weights=W[:, :-1],

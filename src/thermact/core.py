@@ -169,8 +169,22 @@ def _first_bad_frame(pixels: np.ndarray, timestamps: np.ndarray) -> tuple[int, s
     )
 
 
+class _Checked:
+    """A frozen dataclass whose arrays are read-only copies that `_frozen_copy` stores
+    and `__post_init__` checks; a pickled or deep copy is rebuilt by the constructor."""
+
+    def _frozen_copy(self, name: str, value, dtype) -> np.ndarray:
+        arr = np.array(value, dtype=dtype)
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+        return arr
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class ThermalSequence:
+class ThermalSequence(_Checked):
     """The raw frames of one recording, as a file or the generator made them.
 
     `pixels` is a read-only (F, 64) float64 array, one row-major 8x8 grid of
@@ -189,23 +203,15 @@ class ThermalSequence:
     timestamps_ms: np.ndarray | None = None
 
     def __post_init__(self):
-        pixels = np.array(self.pixels, dtype=np.float64)
+        pixels = self._frozen_copy("pixels", self.pixels, np.float64)
         if pixels.size == 0:
             raise ValueError("sequence needs at least one frame")
-        stamps = np.zeros(pixels.shape[:1])
-        if self.timestamps_ms is not None:
-            stamps = np.array(self.timestamps_ms)
+        stamps = self.timestamps_ms
+        stamps = np.zeros(pixels.shape[:1]) if stamps is None else np.asarray(stamps)
         bad = _first_bad_frame(pixels, stamps.astype(np.float64))
         if bad is not None:
             raise ValueError(f"frame {bad[0]}: {bad[1]}")
-        stamps = stamps.astype(np.int64)
-        pixels.flags.writeable = False
-        stamps.flags.writeable = False
-        object.__setattr__(self, "pixels", pixels)
-        object.__setattr__(self, "timestamps_ms", stamps)
-
-    def __reduce__(self):  # a pickled or deep-copied sequence is rebuilt, so checked
-        return ThermalSequence, (self.pixels, self.timestamps_ms)
+        self._frozen_copy("timestamps_ms", stamps, np.int64)
 
     def __len__(self) -> int:
         return len(self.pixels)

@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from . import classifier as svm
 from .config import DEFAULT_TARGET_LEN, FeatureConfig, PipelineConfig
-from .core import DatasetManifest, ThermactError, ThermalSequence, load_backgrounds, load_sequences
+from .core import DatasetManifest, ThermactError, ThermalSequence, _Checked
+from .core import load_backgrounds, load_sequences
 from .features import feature_matrix
 from .preprocess import estimate_background, resample_equal_interval, subtract_background
 
@@ -34,20 +35,18 @@ Fold = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
+class ConfusionMatrix(_Checked):
     """Counts[i, j] = sequences with true label i predicted as label j."""
 
     labels: tuple[str, ...]
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = self._frozen_copy("counts", self.counts, np.int64)
         if counts.shape != (len(self.labels), len(self.labels)):
             raise ValueError("counts must be square over the label list")
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:

@@ -40,6 +40,7 @@ from .core import (
     DatasetManifest,
     ManifestEntry,
     ThermalSequence,
+    _Checked,
     write_manifest,
     write_sequence,
 )
@@ -71,7 +72,7 @@ def default_pixel_offsets() -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SceneParams:
+class SceneParams(_Checked):
     """Sensor and environment model for rendering."""
 
     ambient_mean: float = 21.0
@@ -81,7 +82,8 @@ class SceneParams:
     quantize_step: float = 0.25
 
     def __post_init__(self):
-        offsets = np.array(self.ambient_pixel_offsets, dtype=np.float64).reshape(-1)
+        offsets = np.ravel(self.ambient_pixel_offsets)
+        offsets = self._frozen_copy("ambient_pixel_offsets", offsets, np.float64)
         if offsets.shape != (PIXEL_COUNT,):
             raise ValueError(
                 f"ambient_pixel_offsets must hold {PIXEL_COUNT} values, got {offsets.size}"
@@ -98,8 +100,6 @@ class SceneParams:
             )
         if not self.quantize_step >= 0:
             raise ValueError("quantize_step must be >= 0")
-        offsets.flags.writeable = False
-        object.__setattr__(self, "ambient_pixel_offsets", offsets)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "ambient_pixel_offsets": self.ambient_pixel_offsets.tolist()}

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import pegasos_binary, train_per_class
+from oracles import pegasos_binary, svm_optimum, train_per_class
 from thermact import classifier
 from thermact.classifier import (
     STD_FLOOR,
@@ -411,6 +411,38 @@ class TestConvergenceSignal:
         assert loaded.epochs == () and loaded.converged == () and loaded.objectives == ()
 
 
+class TestAgainstTheOptimum:
+    """Each trained problem against its exact optimum (`oracles.svm_optimum`).
+
+    The oracle's duality gap certifies its own optimum. A trained objective
+    below the oracle's dual value would break weak duality, so the check
+    tests `_objective` and the oracle at once. Pegasos stops well above the
+    optimum here (1.6-10x), so nothing tighter holds."""
+
+    GAP = 1e-9
+
+    def assert_above_the_dual(self, X, labels, classes):
+        cfg = SvmConfig()
+        model = train(X, labels, cfg, classes=classes)
+        Z = (X - model.scaler_mean) / model.scaler_std  # train's own standardization
+        Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
+        lam = 1.0 / (cfg.regularization_c * len(X))
+        for c, cls in enumerate(classes):
+            y = np.where(np.asarray(labels) == cls, 1.0, -1.0)
+            _, primal, dual = svm_optimum(Zb, y, lam, gap=self.GAP)
+            assert 0.0 <= primal - dual <= self.GAP * primal
+            assert model.objectives[c] >= dual
+
+    def test_every_fold_at_the_timed_shape(self, timed_corpus_features):
+        manifest, X, labels = timed_corpus_features
+        for train_idx, _ in loso_split(manifest):
+            self.assert_above_the_dual(X[train_idx], labels[train_idx], manifest.label_set)
+
+    def test_clusters(self, clusters):
+        X, labels = clusters
+        self.assert_above_the_dual(X, labels, tuple(sorted(set(labels))))
+
+
 class TestNonFinite:
     """A NaN feature gives NaN scores, and argmax of NaN picks class 0 ("fall"
     in the ADL7 order): non-finite input must be an error, never a label."""
@@ -506,7 +538,7 @@ class TestNonFinite:
 
     def test_regularization_giving_non_finite_weights(self):
         X, labels = toy_clusters(n_classes=3, per_class=5, dim=4, seed=0)
-        message = "regularization_c 1e\\+307 gives non-finite weights"
+        message = "^regularization_c 1e\\+307 gives non-finite values in training$"
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=message):
             train(X, labels, SvmConfig(regularization_c=1e307))
 
@@ -517,7 +549,8 @@ class TestNonFinite:
         X, labels = toy_clusters(n_classes=3, per_class=5, dim=4, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape(f"regularization_c {c!r} gives non-finite")):
+            message = f"regularization_c {c!r} gives non-finite values in training"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 train(X, labels, SvmConfig(regularization_c=c))
 
 

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -193,6 +195,28 @@ class TestConfusionMatrix:
     def test_invalid_counts_rejected(self, counts, message):
         with pytest.raises(ValueError, match=message):
             ConfusionMatrix(labels=("a", "b"), counts=counts)
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_counts_are_a_read_only_copy(self, view):
+        # The caller's array, and a view's base, stay writable and unshared.
+        owner = np.eye(3, dtype=np.int64)
+        given = owner[:2, :2] if view else owner[:2, :2].copy()
+        cm = ConfusionMatrix(labels=("a", "b"), counts=given)
+        for arr in (given, owner):
+            assert arr.flags.writeable and not np.shares_memory(cm.counts, arr)
+        given[0, 0] = -5
+        assert cm.counts.tolist() == [[1, 0], [0, 1]] and cm.total == 2
+        with pytest.raises(ValueError, match="read-only"):
+            cm.counts[0, 0] = 7
+
+    def test_pickled_and_deep_copied_matrices_are_read_only(self):
+        # Neither path calls __init__ unless the type says how to rebuild.
+        cm = ConfusionMatrix(labels=("a", "b"), counts=np.array([[2, 1], [0, 3]]))
+        for kept in (pickle.loads(pickle.dumps(cm)), copy.deepcopy(cm)):
+            assert kept.labels == cm.labels and kept.counts.tolist() == cm.counts.tolist()
+            assert kept.counts.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                kept.counts[0, 0] = 7
 
     def test_text_rendering(self):
         cm = confusion_from_records(["a", "b"], ["a", "b"], ["a", "b"])

@@ -1,7 +1,9 @@
+import copy
 import filecmp
 import hashlib
 import itertools
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -77,6 +79,14 @@ class TestSceneParams:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             from_json(SceneParams, {"nope": 1}, "scene")
+
+    def test_pickled_and_deep_copied_scenes_are_read_only(self):
+        # Neither path calls __init__ unless the type says how to rebuild.
+        scene = SceneParams(ambient_mean=22.0, noise_std=0.1)
+        for kept in (pickle.loads(pickle.dumps(scene)), copy.deepcopy(scene)):
+            assert kept.to_dict() == scene.to_dict()
+            with pytest.raises(ValueError, match="read-only"):
+                kept.ambient_pixel_offsets[0] = 1.0
 
 
 class TestActivityScript:

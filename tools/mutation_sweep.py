@@ -120,6 +120,15 @@ MUTANTS = (
         "raise",
     ),
     Mutant("core.write_background_session", 'item["session"] = bg.session_id', "pass"),
+    # core._Checked: an array-holding value type stores read-only copies, and
+    # a pickled or deep copy is rebuilt through the constructor.
+    Mutant(
+        "core.frozen_copy_copies",
+        "arr = np.array(value, dtype=dtype)",
+        "arr = np.asarray(value, dtype=dtype)",
+    ),
+    Mutant("core.frozen_copy_read_only", "arr.flags.writeable = False", "pass"),
+    Mutant("core.copies_rebuilt", "def __reduce__(self):", "def _reduce(self):"),
     # config: every section's range checks.
     Mutant("config.regularization_c", "self.regularization_c > 0", "self.regularization_c >= 0"),
     Mutant("config.max_epochs", "self.max_epochs >= 1", "self.max_epochs >= 0"),
@@ -254,14 +263,20 @@ MUTANTS = (
         "(all_idx[fold_of != f], all_idx[fold_of == f])",
         "(all_idx, all_idx[fold_of == f])",
     ),
-    # evaluate.ConfusionMatrix: a square count matrix of non-negative counts.
+    # evaluate.ConfusionMatrix: a read-only copy of a square matrix of
+    # non-negative counts.
     Mutant(
         "evaluate.confusion_square",
         "if counts.shape != (len(self.labels), len(self.labels)):",
         "if False:",
     ),
     Mutant("evaluate.confusion_non_negative", "if (counts < 0).any():", "if False:"),
-    # synth: the rules a scene and an activity script obey.
+    Mutant(
+        "evaluate.confusion_checked_base", "class ConfusionMatrix(_Checked):", "class ConfusionMatrix:"
+    ),
+    # synth: the rules a scene and an activity script obey; a scene keeps its
+    # offsets as a read-only copy.
+    Mutant("synth.scene_checked_base", "class SceneParams(_Checked):", "class SceneParams:"),
     Mutant("synth.offset_count", "if offsets.shape != (PIXEL_COUNT,):", "if False:"),
     Mutant(
         "synth.script_duration", "if not 0 < self.duration_s <=", "if not -1 < self.duration_s <="
