@@ -166,11 +166,12 @@ def _train_ovr(
     within (2n + 2s + 1)*u*|w||z| of the one-class margin in any summation
     order (n = D+1 terms, s <= max_epochs*m shrinks since M, unit roundoff
     u); `slack` = 16*(n + max_epochs*m)*u covers the factor. Each Pegasos
-    step makes w a convex combination of w and y*z/lam, so |w| <= max|z|/lam,
-    doubled as `wbound` for rounding: a step whose estimate is at least
-    1 + tie, tie = slack*(1 + wbound*|z|), only shrinks the weights. An
-    epoch's `err` bounds |w| when M was taken by the tighter 2*|w|/scale.
-    The bounds only choose a path, so M may be a BLAS product.
+    step makes w a convex combination of w and y*z/lam, so |w| <= zmax/lam
+    for the whole call (zmax = max|z|), doubled for rounding: a step whose
+    estimate is at least `lim` = 1 + slack*(1 + 2*zmax/lam*zmax), one
+    threshold per call, only shrinks the weights. An epoch's `err` bounds
+    |w| when M was taken by the tighter 2*|w|/scale. The bounds only choose
+    a path, so M may be a BLAS product.
     """
     C, m = Y.shape
     lam = 1.0 / (cfg.regularization_c * m)
@@ -182,10 +183,8 @@ def _train_ovr(
     rng = np.random.default_rng(cfg.seed)
     slack = 8.0 * (Zb.shape[1] + cfg.max_epochs * m) * np.finfo(np.float64).eps
     ZbT = Zb.T
-    znorm = np.sqrt(np.einsum("ij,ij->i", Zb, Zb)).tolist()
-    zmax = max(znorm)
-    wbound = 2.0 * zmax / lam
-    ties = [slack * (1.0 + wbound * zn) for zn in znorm]
+    zmax = math.sqrt(np.einsum("ij,ij->i", Zb, Zb).max())
+    lim = 1.0 + slack * (1.0 + 2.0 * zmax / lam * zmax)
     W = np.zeros((C, Zb.shape[1]))
     epochs = [cfg.max_epochs] * C
     converged = [False] * C
@@ -202,7 +201,7 @@ def _train_ovr(
             shrink = 1.0 - eta * lam
             Wa *= shrink
             scale *= shrink
-            if scale * low[i] >= 1.0 + ties[i]:
+            if scale * low[i] >= lim:
                 continue
             z, y = Zb[i], YaT[i]
             viol = [k for k, mk in enumerate(np.einsum("cd,d->c", Wa, z).tolist()) if y[k] * mk < 1.0]

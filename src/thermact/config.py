@@ -19,6 +19,7 @@ from .core import GRID_SIZE, _type_hints, from_json
 
 PROTOCOLS = ("loso", "kfold")
 DEFAULT_TARGET_LEN = 20  # frames per recording after resampling
+MAX_TARGET_LEN = 1000  # the features' (target_len, target_len) DCT basis is then at most 8 MB
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,8 @@ class PreprocessSettings:
     def __post_init__(self):
         if not self.target_len >= 1:
             raise ValueError("target_len must be >= 1")
+        if not self.target_len <= MAX_TARGET_LEN:
+            raise ValueError(f"target_len must be at most {MAX_TARGET_LEN}")
 
 
 @dataclass(frozen=True)

@@ -369,9 +369,11 @@ class BackgroundEntry:
 class DatasetManifest:
     """Index of a dataset: labeled entries, label schema, background clips.
 
-    Construction validates the structural invariants (non-empty, labels drawn
-    from `label_set`, unique paths); file-level checks happen in
-    `load_manifest`. `root` is the directory entry paths are resolved against.
+    The constructor holds the structural rules (non-empty, distinct labels,
+    entry labels drawn from `label_set`, unique paths, one background clip per
+    session) and raises one ManifestError listing every violation, naming an
+    entry by its path; `load_manifest` builds through it and adds the JSON
+    shape and file checks. `root` is the directory entry paths are resolved against.
     `_parsed` maps each entry and background path to its minimum frame count,
     its file's stamp and its parsed sequence until `recording` hands that out
     (None after); `load_manifest` fills it, a manifest built in memory has none.
@@ -388,7 +390,27 @@ class DatasetManifest:
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "label_set", tuple(self.label_set))
         object.__setattr__(self, "backgrounds", tuple(self.backgrounds))
-        violations = _structural_violations(self.entries, self.label_set, self.backgrounds)
+        violations = []
+        if not self.entries:
+            violations.append("empty dataset: manifest declares no entries")
+        if len(set(self.label_set)) != len(self.label_set):
+            violations.append("label_set contains duplicates")
+        seen_paths: set[str] = set()
+        for entry in self.entries:
+            if entry.label not in self.label_set:
+                violations.append(f"entry {entry.path!r}: unknown label {entry.label!r}")
+            if entry.path in seen_paths:
+                violations.append(f"entry {entry.path!r}: duplicate path")
+            seen_paths.add(entry.path)
+        bg_sessions: set[str] = set()
+        for bg in self.backgrounds:
+            if bg.path in seen_paths:
+                violations.append(f"background {bg.path!r}: duplicate path")
+            seen_paths.add(bg.path)
+            if bg.session_id in bg_sessions:
+                which = f"session {bg.session_id!r}" if bg.session_id else "the global fallback"
+                violations.append(f"more than one background clip for {which}")
+            bg_sessions.add(bg.session_id)
         if violations:
             raise ManifestError(violations)
 
@@ -426,32 +448,6 @@ def _resolve(root: Path | None, path: str) -> Path:
     if p.is_absolute() or root is None:
         return p
     return root / p
-
-
-def _structural_violations(entries, label_set, backgrounds) -> list[str]:
-    violations = []
-    if not entries:
-        violations.append("empty dataset: manifest declares no entries")
-    if len(set(label_set)) != len(label_set):
-        violations.append("label_set contains duplicates")
-    known = set(label_set)
-    seen_paths: set[str] = set()
-    for i, entry in enumerate(entries):
-        if entry.label not in known:
-            violations.append(f"entry {i} ({entry.path}): unknown label {entry.label!r}")
-        if entry.path in seen_paths:
-            violations.append(f"entry {i}: duplicate path {entry.path!r}")
-        seen_paths.add(entry.path)
-    bg_sessions: set[str] = set()
-    for bg in backgrounds:
-        if bg.path in seen_paths:
-            violations.append(f"background {bg.path!r}: duplicate path")
-        seen_paths.add(bg.path)
-        if bg.session_id in bg_sessions:
-            which = f"session {bg.session_id!r}" if bg.session_id else "the global fallback"
-            violations.append(f"more than one background clip for {which}")
-        bg_sessions.add(bg.session_id)
-    return violations
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -511,10 +507,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 )
             )
 
-    violations.extend(_structural_violations(entries, tuple(label_set), backgrounds))
-
-    root = path.parent
-    parsed = {}
+    root, parsed = path.parent, {}
+    try:
+        manifest = DatasetManifest(entries, label_set, sensor_id, backgrounds, root, parsed)
+    except ManifestError as exc:
+        violations += exc.violations
     wanted = [(e.path, MIN_ACTIVITY_FRAMES) for e in entries]
     wanted += [(bg.path, 1) for bg in backgrounds]
     for rel, min_frames in wanted:
@@ -525,14 +522,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
     if violations:
         raise ManifestError(violations, f"manifest {path}")
-    return DatasetManifest(
-        entries=tuple(entries),
-        label_set=tuple(label_set),
-        sensor_id=sensor_id,
-        backgrounds=tuple(backgrounds),
-        root=root,
-        _parsed=parsed,
-    )
+    return manifest
 
 
 def _read_checked(path: Path, min_frames: int):

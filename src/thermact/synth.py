@@ -50,6 +50,8 @@ _OFFSET_SEED = 8833
 
 MAX_FRAME_RATE_HZ = 1000.0  # the longest built-in recording (6.05 s) then has <= 6,048 frames
 MAX_DURATION_S = 600.0  # a script then renders at most 600,000 frames at MAX_FRAME_RATE_HZ
+SENSOR_SPAN_C = TEMP_MAX_C - TEMP_MIN_C  # bounds a scene's noise, pixel offsets and quantize step
+MIN_QUANTIZE_STEP = 1e-6  # a finer step quantizes nothing, and 1e-310 overflows values / step
 
 DEFAULT_DURATIONS_S = {
     "fall": 1.0,
@@ -90,16 +92,22 @@ class SceneParams(_Checked):
             )
         if not np.isfinite(offsets).all():
             raise ValueError("ambient_pixel_offsets must be finite")
+        if (np.abs(offsets) > SENSOR_SPAN_C).any():
+            raise ValueError(f"ambient_pixel_offsets must have magnitude <= {SENSOR_SPAN_C:g}")
         if not TEMP_MIN_C <= self.ambient_mean <= TEMP_MAX_C:
             raise ValueError("ambient_mean outside the sensor range")
-        if not self.noise_std > 0:
-            raise ValueError("noise_std must be positive")
+        if not 0 < self.noise_std <= SENSOR_SPAN_C:
+            raise ValueError(f"noise_std must be in (0, {SENSOR_SPAN_C:g}], got {self.noise_std!r}")
         if not 0 < self.frame_rate_hz <= MAX_FRAME_RATE_HZ:
             raise ValueError(
                 f"frame_rate_hz must be in (0, {MAX_FRAME_RATE_HZ:g}] Hz, got {self.frame_rate_hz!r}"
             )
-        if not self.quantize_step >= 0:
-            raise ValueError("quantize_step must be >= 0")
+        step = self.quantize_step
+        if not (step == 0 or MIN_QUANTIZE_STEP <= step <= SENSOR_SPAN_C):
+            raise ValueError(
+                f"quantize_step must be 0 or in [{MIN_QUANTIZE_STEP:g}, {SENSOR_SPAN_C:g}],"
+                f" got {step!r}"
+            )
 
     def to_dict(self) -> dict:
         return {**asdict(self), "ambient_pixel_offsets": self.ambient_pixel_offsets.tolist()}
@@ -446,18 +454,16 @@ def generate_corpus(
         profile = SubjectProfile.draw(np.random.default_rng(streams[0]))
         for rep, first in enumerate(range(1, len(streams), per_session), start=1):
             rngs = [np.random.default_rng(s) for s in streams[first : first + per_session]]
-            scripts = [
-                _builtin_script(label, _draw_jitter(rng), profile)
-                for label, rng in zip(ADL7_LABELS, rngs)
-            ]
-            sessions.append((f"s{si:02d}", f"s{si:02d}r{rep}", scripts, rngs))
-    for _, session_id, scripts, _ in sessions:
-        for label, script in zip(ADL7_LABELS, scripts):
-            if (n := frame_count(scene, script)) < MIN_ACTIVITY_FRAMES:
-                raise ConfigError(
-                    f"frame_rate_hz {scene.frame_rate_hz!r} gives {session_id}_{label}.csv"
-                    f" {n} frame(s), needs at least {MIN_ACTIVITY_FRAMES}"
-                )
+            session_id, scripts = f"s{si:02d}r{rep}", []
+            for label, rng in zip(ADL7_LABELS, rngs):
+                script = _builtin_script(label, _draw_jitter(rng), profile)
+                if (n := frame_count(scene, script)) < MIN_ACTIVITY_FRAMES:
+                    raise ConfigError(
+                        f"frame_rate_hz {scene.frame_rate_hz!r} gives {session_id}_{label}.csv"
+                        f" {n} frame(s), needs at least {MIN_ACTIVITY_FRAMES}"
+                    )
+                scripts.append(script)
+            sessions.append((f"s{si:02d}", session_id, scripts, rngs))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     background, clamped = render_frames(

@@ -442,6 +442,23 @@ class TestAgainstTheOptimum:
         X, labels = clusters
         self.assert_above_the_dual(X, labels, tuple(sorted(set(labels))))
 
+    def test_objectives_are_the_primal_at_the_weights(self, timed_corpus_features):
+        # Each objective is the primal at the model's own weights and bias on
+        # its standardized rows, summed as the oracles sum it: bit for bit.
+        manifest, X, labels = timed_corpus_features
+        cfg = SvmConfig()
+        for train_idx, _ in loso_split(manifest):
+            X_fold, y_fold = X[train_idx], labels[train_idx]
+            model = train(X_fold, y_fold, cfg, classes=manifest.label_set)
+            Z = (X_fold - model.scaler_mean) / model.scaler_std
+            Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
+            lam = 1.0 / (cfg.regularization_c * len(X_fold))
+            for c, cls in enumerate(model.classes):
+                w = np.append(model.weights[c], model.biases[c])
+                y = np.where(y_fold == cls, 1.0, -1.0)
+                hinge = np.maximum(0.0, 1.0 - y * np.einsum("md,d->m", Zb, w))
+                assert model.objectives[c] == 0.5 * lam * np.einsum("d,d", w, w) + hinge.mean()
+
 
 class TestNonFinite:
     """A NaN feature gives NaN scores, and argmax of NaN picks class 0 ("fall"

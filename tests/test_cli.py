@@ -730,6 +730,40 @@ class TestMalformedSettings:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"noise_std": 1e200}', "noise_std"),
+            ('{"quantize_step": 1e-320}', "quantize_step"),
+            ('{"quantize_step": 1e-310}', "quantize_step"),
+            ('{"quantize_step": 1e300}', "quantize_step"),
+            pytest.param(
+                json.dumps({"ambient_pixel_offsets": [1.7e308] * 64}),
+                "ambient_pixel_offsets",
+                id="offsets-1.7e308",
+            ),
+        ],
+    )
+    def test_scene_outside_the_sensor_span_makes_no_directory(self, tmp_path, capsys, text, key):
+        # Each of these scenes rendered clamped, flat or overflowed frames and exited 0.
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(text)
+        out = tmp_path / "out"
+        args = ["generate", "--out", str(out), "--subjects", "1", "--reps", "1"]
+        assert main(args + ["--scene", str(scene_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(scene_path))}: {key} must [^\n]*\n", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("length", ["1001", "1000000"])
+    def test_target_len_above_the_bound(self, corpus_dir, capsys, length):
+        # The features' DCT basis is target_len x target_len, so memory grows as its square.
+        args = ["evaluate", "--data", str(corpus_dir / "manifest.json")]
+        assert main(args + ["--preprocess.target_len", length]) == 1
+        assert capsys.readouterr().err == (
+            "error: override --preprocess.target_len: preprocess.target_len must be at most 1000\n"
+        )
+
+    @pytest.mark.parametrize(
         "content",
         [pytest.param(DEEP_JSON.encode(), id="nested-too-deep"), pytest.param(b"\xff{}", id="not-utf8")],
     )

@@ -7,6 +7,7 @@ import pytest
 from thermact.classifier import SvmConfig
 from thermact.cli import build_parser
 from thermact.config import (
+    MAX_TARGET_LEN,
     EvalSettings,
     PipelineConfig,
     PreprocessSettings,
@@ -141,6 +142,7 @@ def test_range_checks_refuse_nan():
         (FeatureConfig, "spatial_block", 1, 0, r"spatial_block must be in \[1, 8\]"),
         (FeatureConfig, "spatial_block", 8, 9, r"spatial_block must be in \[1, 8\]"),
         (PreprocessSettings, "target_len", 1, 0, "target_len must be >= 1"),
+        (PreprocessSettings, "target_len", MAX_TARGET_LEN, 1001, "target_len must be at most 1000"),
         (EvalSettings, "protocol", "kfold", "lodo", "protocol must be one of"),
         (EvalSettings, "k", 2, 1, "k must be >= 2"),
         (EvalSettings, "seed", 0, -1, "seed must be >= 0"),

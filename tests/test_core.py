@@ -366,8 +366,9 @@ class TestManifest:
         entry = {"path": "a.csv", "label": "fall", "subject": "s", "session": "r"}
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"label_set": ["fall"], "entries": [entry, dict(entry)]}))
-        with pytest.raises(ManifestError, match="duplicate path"):
+        with pytest.raises(ManifestError) as excinfo:
             load_manifest(path)
+        assert excinfo.value.violations == ["entry 'a.csv': duplicate path"]
 
     def test_all_violations_reported(self, tmp_path):
         row = ",".join(["20.0"] * 64)
@@ -387,6 +388,34 @@ class TestManifest:
         with pytest.raises(ManifestError) as excinfo:
             load_manifest(path)
         assert len(excinfo.value.violations) == 2
+
+    def test_violations_in_order_shape_structure_files(self, tmp_path):
+        # Structural messages name an entry by its path: an index would count
+        # only the entries that survived the shape checks.
+        row = ",".join(["20.0"] * 64)
+        for name in ("bg.csv", "a.csv", "b.csv"):
+            (tmp_path / name).write_text(row + "\n" + row)
+        path = tmp_path / "manifest.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "label_set": ["fall"],
+                    "entries": [
+                        {"path": "bg.csv", "role": "background"},
+                        {"path": "a.csv", "label": "fall", "subject": 5, "session": "r"},
+                        {"path": "b.csv", "label": "jump", "subject": "s", "session": "r"},
+                        {"path": "missing.csv", "label": "fall", "subject": "s", "session": "r"},
+                    ],
+                }
+            )
+        )
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        assert excinfo.value.violations == [
+            'entry 1 (a.csv): "subject" must be a string',
+            "entry 'b.csv': unknown label 'jump'",
+            f"missing file: {tmp_path / 'missing.csv'}",
+        ]
 
     def test_activity_entries_need_two_frames(self, tmp_path):
         row = ",".join(["20.0"] * 64)

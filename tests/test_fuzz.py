@@ -34,7 +34,7 @@ from thermact.core import (
     read_sequence,
     write_sequence,
 )
-from thermact.synth import MAX_FRAME_RATE_HZ, SceneParams
+from thermact.synth import MAX_FRAME_RATE_HZ, MIN_QUANTIZE_STEP, SENSOR_SPAN_C, SceneParams
 from toy_data import toy_clusters
 
 FUZZ = settings(max_examples=60, deadline=None)
@@ -120,7 +120,8 @@ SCENE_FIELDS = {
 @example(value={"frame_rate_hz": 1000.0000000000001})
 def test_scene_file(fuzz_dir, value):
     # Construction only: an accepted rate is in (0, MAX_FRAME_RATE_HZ], so a
-    # valid scene renders each built-in recording in at most 6,048 frames.
+    # valid scene renders each built-in recording in at most 6,048 frames,
+    # and its noise, offsets and step are bounded by the sensor's span.
     path = write_json(fuzz_dir / "scene.json", value)
     try:
         scene = from_json_file(SceneParams, path)
@@ -130,6 +131,10 @@ def test_scene_file(fuzz_dir, value):
         assert isinstance(scene, SceneParams)
         assert all(map(math.isfinite, [scene.noise_std, scene.frame_rate_hz, scene.quantize_step]))
         assert 0 < scene.frame_rate_hz <= MAX_FRAME_RATE_HZ
+        assert 0 < scene.noise_std <= SENSOR_SPAN_C
+        assert np.abs(scene.ambient_pixel_offsets).max() <= SENSOR_SPAN_C
+        step = scene.quantize_step
+        assert step == 0 or MIN_QUANTIZE_STEP <= step <= SENSOR_SPAN_C
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,8 @@ from thermact.core import ADL7_LABELS, from_json, load_manifest
 from thermact.synth import (
     MAX_DURATION_S,
     MAX_FRAME_RATE_HZ,
+    MIN_QUANTIZE_STEP,
+    SENSOR_SPAN_C,
     ActivityScript,
     SceneParams,
     ScriptKey,
@@ -69,6 +71,32 @@ class TestSceneParams:
             message = rf"^frame_rate_hz must be in \(0, 1000\] Hz, got {re.escape(repr(rate))}$"
             with pytest.raises(ValueError, match=message):
                 SceneParams(frame_rate_hz=rate)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("noise_std", 1e200),  # every rendered value clamped
+            ("noise_std", float(np.nextafter(80.0, np.inf))),
+            ("quantize_step", 1e-320),  # values / step overflows: every pixel 80.0
+            ("quantize_step", 1e-310),
+            ("quantize_step", float(np.nextafter(MIN_QUANTIZE_STEP, 0.0))),
+            ("quantize_step", float(np.nextafter(80.0, np.inf))),
+            ("quantize_step", 1e300),  # every pixel rounds to 0.0, none counted as clamped
+            ("ambient_pixel_offsets", np.full(64, 1.7e308)),  # overflows the sum
+            ("ambient_pixel_offsets", np.full(64, float(np.nextafter(-80.0, -np.inf)))),
+        ],
+    )
+    def test_bounded_by_the_sensor_span(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must "):
+            SceneParams(**{key: value})
+
+    def test_values_at_the_bounds_build(self):
+        assert SENSOR_SPAN_C == 80.0
+        for step in (0.0, 1e-6, 0.25, 80.0):
+            assert SceneParams(quantize_step=step).quantize_step == step
+        assert SceneParams(noise_std=80.0).noise_std == 80.0
+        offsets = np.where(np.arange(64) % 2 == 0, 80.0, -80.0)
+        assert np.array_equal(SceneParams(ambient_pixel_offsets=offsets).ambient_pixel_offsets, offsets)
 
     def test_dict_round_trip(self):
         scene = SceneParams(ambient_mean=22.0, noise_std=0.1)

@@ -104,9 +104,11 @@ MUTANTS = (
         "isinstance(v, (int, float)) and not isinstance(v, bool) and",
         "isinstance(v, (int, float)) and",
     ),
-    # core._structural_violations: the rules a manifest's own fields obey.
+    # core.DatasetManifest: the rules a manifest's own fields obey.
     Mutant(
-        "core.label_set_distinct", "if len(set(label_set)) != len(label_set):", "if False:"
+        "core.label_set_distinct",
+        "if len(set(self.label_set)) != len(self.label_set):",
+        "if False:",
     ),
     Mutant("core.background_path_unique", "if bg.path in seen_paths:", "if False:"),
     # core.load_manifest: an activity entry's label is a string.
@@ -136,6 +138,7 @@ MUTANTS = (
     Mutant("config.temporal_k", "self.temporal_k >= 1", "self.temporal_k >= 0"),
     Mutant("config.spatial_block_low", "1 <= self.spatial_block", "0 <= self.spatial_block"),
     Mutant("config.target_len", "self.target_len >= 1", "self.target_len >= 0"),
+    Mutant("config.max_target_len", "if not self.target_len <= MAX_TARGET_LEN:", "if False:"),
     Mutant("config.protocol", "if self.protocol not in PROTOCOLS:", "if False:"),
     Mutant("config.k", "self.k >= 2", "self.k >= 1"),
     # classifier.SvmModel.decision_scores: features of the model's dimension,
@@ -178,7 +181,7 @@ MUTANTS = (
     # epoch's objectives scale the kept margins by that product. Skipping
     # leaves every weight bit as it is; the exact-step count sees it. An exact
     # step updates a class whose margin is below 1, not at it.
-    Mutant("classifier.skip_never", "if scale * low[i] >= 1.0 + ties[i]:", "if False:"),
+    Mutant("classifier.skip_never", "if scale * low[i] >= lim:", "if False:"),
     Mutant("classifier.exact_strict", "if y[k] * mk < 1.0]", "if y[k] * mk <= 1.0]"),
     Mutant(
         "classifier.refresh_resets_scale",
@@ -295,6 +298,11 @@ MUTANTS = (
     # synth: a scene's rate is bounded and its offsets finite where it is read.
     Mutant("synth.frame_rate_bound", "<= MAX_FRAME_RATE_HZ:", ":"),
     Mutant("synth.offsets_finite", "if not np.isfinite(offsets).all():", "if False:"),
+    # synth: a scene's noise, offsets and quantize step stay within the sensor's span.
+    Mutant("synth.noise_std_ceiling", "0 < self.noise_std <= SENSOR_SPAN_C:", "0 < self.noise_std:"),
+    Mutant("synth.offsets_bound", "if (np.abs(offsets) > SENSOR_SPAN_C).any():", "if False:"),
+    Mutant("synth.quantize_step_floor", "MIN_QUANTIZE_STEP <= step", "0 < step"),
+    Mutant("synth.quantize_step_ceiling", "step <= SENSOR_SPAN_C)", "step)"),
     # synth: generate refuses counts it cannot seed, and before it writes
     # anything, a scene that gives an activity too few frames.
     Mutant("synth.subjects_seed_limit", '("subjects", subjects + 1)', '("subjects", 0)'),
