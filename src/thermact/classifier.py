@@ -67,7 +67,8 @@ class ModelFormatError(ThermactError):
 class SvmModel(_Checked):
     """Per-class weights and biases plus the training-time scaler.
 
-    Construction copies the arrays to read-only float64 and refuses (ValueError)
+    Construction stores `classes` as a tuple and copies the arrays to read-only
+    float64. It refuses (ValueError) classes that are not distinct strings,
     disagreeing shapes, a non-finite value or a `scaler_std` below STD_FLOOR."""
 
     classes: tuple[str, ...]
@@ -84,8 +85,12 @@ class SvmModel(_Checked):
     objectives: tuple[float, ...] = ()
 
     def __post_init__(self):
+        classes = tuple(self.classes)
+        object.__setattr__(self, "classes", classes)
+        if not all(isinstance(c, str) for c in classes) or len(set(classes)) != len(classes):
+            raise ValueError(f"classes must be distinct strings, got {reprlib.repr(classes)}")
         arrays = [self._frozen_copy(key, getattr(self, key), np.float64) for key in ARRAY_KEYS]
-        n, dim = len(self.classes), arrays[2].size
+        n, dim = len(classes), arrays[2].size
         if [arr.shape for arr in arrays] != [(n, dim), (n,), (dim,), (dim,)]:
             raise ValueError("inconsistent model dimensions")
         for key, arr in zip(ARRAY_KEYS, arrays):
@@ -266,8 +271,6 @@ def train(
     if len(present) < 2:
         raise ValueError("training needs at least 2 distinct labels")
     ordered = tuple(classes) if classes is not None else tuple(sorted(present))
-    if len(set(ordered)) != len(ordered):
-        raise ValueError(f"duplicate class names in {list(ordered)}")
     missing = [c for c in ordered if c not in present]
     if missing:
         raise ValueError(f"no training examples for class(es): {missing}")
@@ -370,17 +373,13 @@ def load_model(path: str | Path) -> tuple[SvmModel, PipelineConfig]:
         raise ModelFormatError(str(exc)) from None
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from exc
-    if (
-        not isinstance(classes, list)
-        or not all(isinstance(c, str) for c in classes)
-        or len(set(classes)) != len(classes)
-    ):
-        raise ModelFormatError(f"{path}: classes must be a list of distinct strings")
+    if not isinstance(classes, list):  # a string or an object would be iterated
+        raise ModelFormatError(f"{path}: classes must be a list")
     bad = [(key, v) for key, arr in zip(ARRAY_KEYS, arrays) for v in arr.ravel() if not _number(v)]
     if bad:
         key, got = bad[0][0], reprlib.repr(bad[0][1])
         raise ModelFormatError(f"{path}: {key} holds a non-finite or non-numeric value {got}")
     try:
-        return SvmModel(tuple(classes), *arrays, train_config=config.svm), config
+        return SvmModel(classes, *arrays, train_config=config.svm), config
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None

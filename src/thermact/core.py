@@ -369,14 +369,15 @@ class BackgroundEntry:
 class DatasetManifest:
     """Index of a dataset: labeled entries, label schema, background clips.
 
-    The constructor holds the structural rules (non-empty, distinct labels,
-    entry labels drawn from `label_set`, unique paths, one background clip per
-    session) and raises one ManifestError listing every violation, naming an
-    entry by its path; `load_manifest` builds through it and adds the JSON
-    shape and file checks. `root` is the directory entry paths are resolved against.
-    `_parsed` maps each entry and background path to its minimum frame count,
-    its file's stamp and its parsed sequence until `recording` hands that out
-    (None after); `load_manifest` fills it, a manifest built in memory has none.
+    The constructor holds every rule a manifest's own fields obey (string ids,
+    labels and paths, non-empty, distinct labels, entry labels from `label_set`,
+    unique paths, one background clip per session) and raises one ManifestError
+    listing every violation, naming an entry by its path and a field by its JSON
+    key; `load_manifest` adds the JSON shape and the file checks. `root` is the
+    directory entry paths are resolved against. `_parsed` maps each entry and
+    background path to its minimum frame count, its file's stamp and its parsed
+    sequence until `recording` hands that out (None after); `load_manifest`
+    fills it, a manifest built in memory has none.
     """
 
     entries: tuple[ManifestEntry, ...]
@@ -387,23 +388,32 @@ class DatasetManifest:
     _parsed: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "label_set", tuple(self.label_set))
-        object.__setattr__(self, "backgrounds", tuple(self.backgrounds))
-        violations = []
+        for name in ("entries", "label_set", "backgrounds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        violations = _non_strings("", sensor_id=self.sensor_id)
         if not self.entries:
-            violations.append("empty dataset: manifest declares no entries")
-        if len(set(self.label_set)) != len(self.label_set):
+            violations.append("empty dataset: no labeled entries")
+        if not all(isinstance(s, str) for s in self.label_set):
+            violations.append('"label_set" items must be strings')
+        elif len(set(self.label_set)) != len(self.label_set):
             violations.append("label_set contains duplicates")
         seen_paths: set[str] = set()
-        for entry in self.entries:
-            if entry.label not in self.label_set:
-                violations.append(f"entry {entry.path!r}: unknown label {entry.label!r}")
-            if entry.path in seen_paths:
-                violations.append(f"entry {entry.path!r}: duplicate path")
-            seen_paths.add(entry.path)
+        for e in self.entries:
+            ids = dict(path=e.path, label=e.label, subject=e.subject_id, session=e.session_id)
+            if bad := _non_strings(f"entry {e.path!r}: ", **ids):
+                violations += bad
+                continue  # the rules below hash and compare strings
+            if e.label not in self.label_set:
+                violations.append(f"entry {e.path!r}: unknown label {e.label!r}")
+            if e.path in seen_paths:
+                violations.append(f"entry {e.path!r}: duplicate path")
+            seen_paths.add(e.path)
         bg_sessions: set[str] = set()
         for bg in self.backgrounds:
+            ids = dict(path=bg.path, session=bg.session_id)
+            if bad := _non_strings(f"background {bg.path!r}: ", **ids):
+                violations += bad
+                continue
             if bg.path in seen_paths:
                 violations.append(f"background {bg.path!r}: duplicate path")
             seen_paths.add(bg.path)
@@ -443,6 +453,11 @@ def _stamp(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_ino, st.st_mtime_ns, st.st_size
 
 
+def _non_strings(where: str, **values) -> list[str]:
+    """A violation for each of `values`, keyed by its JSON name, that is not a string."""
+    return [f'{where}"{k}" must be a string' for k, v in values.items() if not isinstance(v, str)]
+
+
 def _resolve(root: Path | None, path: str) -> Path:
     p = Path(path)
     if p.is_absolute() or root is None:
@@ -453,13 +468,14 @@ def _resolve(root: Path | None, path: str) -> Path:
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Load and eagerly validate a manifest JSON file.
 
-    Every referenced frame file must exist and parse; activity entries must
-    hold at least MIN_ACTIVITY_FRAMES frames; subject, session and sensor
-    ids must be strings. All violations are collected and reported together
-    in a single ManifestError; a file that cannot be read is a ThermactError.
-    The manifest holds the sequences it parsed until
-    `load_sequences`/`load_backgrounds` look them up (see
-    `DatasetManifest.recording`).
+    The reader checks the JSON shape (an object whose "label_set" and
+    "entries" are lists, each entry an object with a string "path") and hands
+    every value on to `DatasetManifest`, whose rules apply. Every referenced
+    frame file must exist and parse; activity entries must hold at least
+    MIN_ACTIVITY_FRAMES frames. All violations are reported together in a
+    single ManifestError; a file that cannot be read is a ThermactError.
+    The manifest holds the sequences it parsed until `load_sequences`/
+    `load_backgrounds` look them up (see `DatasetManifest.recording`).
     """
     path = Path(path)
     try:
@@ -472,42 +488,25 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ManifestError([f"manifest {path}: top level must be a JSON object"])
 
     violations: list[str] = []
-    label_set = data.get("label_set")
-    if not isinstance(label_set, list) or not all(isinstance(s, str) for s in label_set):
-        violations.append('"label_set" must be a list of strings')
+    label_set, raw_entries = data.get("label_set"), data.get("entries")
+    if not isinstance(label_set, list):
+        violations.append('"label_set" must be a list')
         label_set = []
-    sensor_id = data.get("sensor_id", "")
-    if not isinstance(sensor_id, str):
-        violations.append('"sensor_id" must be a string')
-    raw_entries = data.get("entries")
     if not isinstance(raw_entries, list):
         violations.append('"entries" must be a list')
         raw_entries = []
 
-    entries: list[ManifestEntry] = []
-    backgrounds: list[BackgroundEntry] = []
+    entries, backgrounds = [], []
     for i, item in enumerate(raw_entries):
         if not isinstance(item, dict) or not isinstance(item.get("path"), str):
             violations.append(f'entry {i}: must be an object with a string "path" field')
-            continue
-        subject, session = ids = item.get("subject", ""), item.get("session", "")
-        bad = [key for key, v in zip(("subject", "session"), ids) if not isinstance(v, str)]
-        violations += [f'entry {i} ({item["path"]}): "{key}" must be a string' for key in bad]
-        if bad:
-            continue
-        if item.get("role") == BACKGROUND_ROLE:
-            backgrounds.append(BackgroundEntry(path=item["path"], session_id=session))
+        elif item.get("role") == BACKGROUND_ROLE:
+            backgrounds.append(BackgroundEntry(item["path"], item.get("session", "")))
         else:
-            if not isinstance(item.get("label"), str):
-                violations.append(f'entry {i} ({item["path"]}): missing or non-string "label"')
-                continue
-            entries.append(
-                ManifestEntry(
-                    path=item["path"], label=item["label"], subject_id=subject, session_id=session
-                )
-            )
+            ids = item.get("subject", ""), item.get("session", "")
+            entries.append(ManifestEntry(item["path"], item.get("label"), *ids))
 
-    root, parsed = path.parent, {}
+    root, parsed, sensor_id = path.parent, {}, data.get("sensor_id", "")
     try:
         manifest = DatasetManifest(entries, label_set, sensor_id, backgrounds, root, parsed)
     except ManifestError as exc:

@@ -4,7 +4,9 @@ import functools
 import json
 import pickle
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -780,6 +782,9 @@ class TestModelChecksItself:
             ({"scaler_std": [1, np.inf, 1]}, "^scaler_std holds a non-finite value$"),
             ({"scaler_std": [1, STD_FLOOR / 2, 1]}, f"^scaler_std must be at least {STD_FLOOR}$"),
             ({"scaler_std": [1, 0, 1]}, f"^scaler_std must be at least {STD_FLOOR}$"),
+            ({"classes": ("a", "a")}, r"^classes must be distinct strings, got \('a', 'a'\)$"),
+            ({"classes": ("a", 7)}, r"^classes must be distinct strings, got \('a', 7\)$"),
+            ({"classes": (None, "b")}, r"^classes must be distinct strings, got \(None, 'b'\)$"),
         ],
     )
     def test_refuses(self, changes, message):
@@ -885,9 +890,33 @@ class TestPersistence:
             save_model(train(X, labels), path, PipelineConfig(svm=SvmConfig(seed=7)))
         assert not path.exists()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), classes=st.lists(st.text(max_size=2), min_size=1, max_size=4))
+    def test_what_builds_loads_back_after_saving(self, data, classes):
+        dim, finite = data.draw(st.integers(1, 4)), st.floats(allow_nan=False, allow_infinity=False)
+        arrays = [
+            data.draw(hnp.arrays(np.float64, shape, elements=elements))
+            for shape, elements in [
+                ((len(classes), dim), finite),
+                (len(classes), finite),
+                (dim, finite),
+                (dim, st.floats(STD_FLOOR, 1e300)),
+            ]
+        ]
+        try:
+            model = SvmModel(classes, *arrays, train_config=SvmConfig())
+        except ValueError:
+            return  # only a model that builds can be saved
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(model, Path(tmp) / "model.json", PipelineConfig())
+            loaded, _ = load_model(Path(tmp) / "model.json")
+        assert loaded.classes == model.classes == tuple(classes)
+        for key in classifier.ARRAY_KEYS:
+            assert getattr(loaded, key).tobytes() == getattr(model, key).tobytes()
+
     def test_duplicate_classes_rejected_in_training(self):
         X = np.array([[0.0], [1.0], [2.0]])
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="distinct strings"):
             train(X, ["a", "b", "b"], classes=("a", "b", "b"))
 
     def test_embedded_pipeline_config(self, clusters, tmp_path):

@@ -2,6 +2,9 @@ import copy
 import json
 import pickle
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +321,31 @@ def _write_corpus(tmp_path, n_subjects=8, n_sessions=3, labels=ADL7_LABELS):
     return path
 
 
+ENTRY = ManifestEntry(path="a.csv", label="fall", subject_id="s", session_id="r")
+WHERE = "entry 'a.csv'"
+
+# Ids, labels and file names with separators, quotes and non-ASCII text.
+IDS = st.text(max_size=6) | st.sampled_from(["", "a,b", 'q"t', "'", "\\", "é", "日本", "\u2028"])
+NAME_CHARS = st.characters(exclude_categories=("Cs", "Cc"), exclude_characters="/")
+FILE_NAMES = st.text(NAME_CHARS, min_size=1, max_size=8).map(lambda name: name + ".csv")
+
+
+@st.composite
+def manifest_fields(draw):
+    """The fields of a DatasetManifest; the sensor id is sometimes not a string."""
+    label_set = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    paths = draw(st.lists(FILE_NAMES, min_size=1, max_size=5, unique=True))
+    n_bg = draw(st.integers(0, len(paths) - 1))
+    entries = [
+        ManifestEntry(path, draw(st.sampled_from(label_set)), draw(IDS), draw(IDS))
+        for path in paths[n_bg:]
+    ]
+    sessions = draw(st.lists(st.just("") | IDS, min_size=n_bg, max_size=n_bg, unique=True))
+    backgrounds = [BackgroundEntry(path, s) for path, s in zip(paths[:n_bg], sessions)]
+    sensor_id = draw(IDS | st.integers() | st.none())
+    return entries, label_set, sensor_id, backgrounds
+
+
 class TestManifest:
     def test_study_scale_layout(self, tmp_path):
         # 8 subjects x 3 sessions x 7 activities -> 168 labeled entries.
@@ -412,7 +440,7 @@ class TestManifest:
         with pytest.raises(ManifestError) as excinfo:
             load_manifest(path)
         assert excinfo.value.violations == [
-            'entry 1 (a.csv): "subject" must be a string',
+            'entry \'a.csv\': "subject" must be a string',
             "entry 'b.csv': unknown label 'jump'",
             f"missing file: {tmp_path / 'missing.csv'}",
         ]
@@ -468,9 +496,9 @@ class TestManifest:
             load_manifest(path)
         assert excinfo.value.violations == [
             '"sensor_id" must be a string',
-            'entry 0 (s0_r0_fall.csv): "subject" must be a string',
-            'entry 1 (s0_r0_sit_still.csv): "session" must be a string',
-            'entry 7 (bg.csv): "session" must be a string',
+            'entry \'s0_r0_fall.csv\': "subject" must be a string',
+            'entry \'s0_r0_sit_still.csv\': "session" must be a string',
+            'background \'bg.csv\': "session" must be a string',
         ]
         assert str(path) in str(excinfo.value)
 
@@ -485,7 +513,63 @@ class TestManifest:
         with pytest.raises(ManifestError) as excinfo:
             load_manifest(path)
         assert excinfo.value.violations == [
-            'entry 2 (s0_r0_stand_still.csv): missing or non-string "label"'
+            'entry \'s0_r0_stand_still.csv\': "label" must be a string'
+        ]
+
+    def test_a_non_object_entry_is_dropped_and_named_by_index(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"label_set": ["fall"], "entries": [5]}))
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        assert excinfo.value.violations == [
+            'entry 0: must be an object with a string "path" field',
+            "empty dataset: no labeled entries",
+        ]
+
+    def test_an_entry_with_bad_ids_still_has_its_file_checked(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        entry = {"path": "a.csv", "label": "fall", "subject": 5, "session": None}
+        path.write_text(json.dumps({"label_set": ["fall"], "sensor_id": 7, "entries": [entry]}))
+        with pytest.raises(ManifestError) as excinfo:
+            load_manifest(path)
+        assert excinfo.value.violations == [
+            '"sensor_id" must be a string',
+            'entry \'a.csv\': "subject" must be a string',
+            'entry \'a.csv\': "session" must be a string',
+            f"missing file: {tmp_path / 'a.csv'}",
+        ]
+
+    @pytest.mark.parametrize(
+        "fields, violation",
+        [
+            ({"sensor_id": 7}, '"sensor_id" must be a string'),
+            ({"label_set": ("fall", 5)}, '"label_set" items must be strings'),
+            ({"entries": (replace(ENTRY, path=["a"]),)}, 'entry [\'a\']: "path" must be a string'),
+            ({"entries": (replace(ENTRY, label=7),)}, f'{WHERE}: "label" must be a string'),
+            ({"entries": (replace(ENTRY, subject_id=5),)}, f'{WHERE}: "subject" must be a string'),
+            ({"entries": (replace(ENTRY, session_id=None),)}, f'{WHERE}: "session" must be a string'),
+            (
+                {"backgrounds": (BackgroundEntry("bg.csv", 3),)},
+                'background \'bg.csv\': "session" must be a string',
+            ),
+        ],
+        ids=["sensor_id", "label_set", "path", "label", "subject", "session", "background"],
+    )
+    def test_every_field_must_be_a_string_in_memory(self, fields, violation):
+        # The rules hold for a manifest built in memory, so write_manifest
+        # cannot write a file that load_manifest refuses.
+        with pytest.raises(ManifestError) as excinfo:
+            DatasetManifest(**{"entries": (ENTRY,), "label_set": ("fall",), **fields})
+        assert excinfo.value.violations == [violation]
+
+    def test_a_manifest_with_bad_ids_cannot_be_built(self):
+        entry = ManifestEntry("a.csv", "fall", 5, None)
+        with pytest.raises(ManifestError) as excinfo:
+            DatasetManifest((entry,), ("fall",), sensor_id=7)
+        assert excinfo.value.violations == [
+            '"sensor_id" must be a string',
+            'entry \'a.csv\': "subject" must be a string',
+            'entry \'a.csv\': "session" must be a string',
         ]
 
     def test_non_utf8_file_is_one_of_the_violations(self, tmp_path):
@@ -634,3 +718,21 @@ class TestManifest:
         write_manifest(relocated, out)
         again = load_manifest(out)
         assert [e.label for e in again.entries] == [e.label for e in small_corpus.entries]
+
+    @settings(max_examples=60, deadline=None)
+    @given(manifest_fields())
+    def test_what_builds_loads_back_after_writing(self, fields):
+        try:
+            manifest = DatasetManifest(*fields)
+        except ManifestError:
+            return  # only a manifest that builds can be written
+        frames = serialize_sequence(constant_sequence(20.0, 21.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            for item in manifest.entries + manifest.backgrounds:
+                (Path(tmp) / item.path).write_text(frames, encoding="utf-8")
+            write_manifest(manifest, Path(tmp) / "manifest.json")
+            loaded = load_manifest(Path(tmp) / "manifest.json")
+        assert loaded.entries == manifest.entries
+        assert loaded.label_set == manifest.label_set
+        assert loaded.sensor_id == manifest.sensor_id
+        assert loaded.backgrounds == manifest.backgrounds

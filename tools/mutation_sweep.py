@@ -111,8 +111,14 @@ MUTANTS = (
         "if False:",
     ),
     Mutant("core.background_path_unique", "if bg.path in seen_paths:", "if False:"),
-    # core.load_manifest: an activity entry's label is a string.
-    Mutant("core.entry_label_string", 'if not isinstance(item.get("label"), str):', "if False:"),
+    Mutant("core.sensor_id_string", '_non_strings("", sensor_id=self.sensor_id)', "[]"),
+    Mutant("core.entry_path_string", "dict(path=e.path, label=", "dict(label="),
+    Mutant("core.entry_label_string", "label=e.label, subject=", "subject="),
+    Mutant(
+        "core.background_session_string",
+        "dict(path=bg.path, session=bg.session_id)",
+        "dict(path=bg.path)",
+    ),
     # core: reading and writing manifests; one problem is one error line.
     Mutant("core.manifest_one_line", "if len(self.violations) == 1:", "if False:"),
     Mutant("core.min_frames", "if len(seq) < min_frames:", "if False:"),
@@ -226,14 +232,15 @@ MUTANTS = (
         "not isinstance(classes, list)",
         "not isinstance(classes, (list, str, dict))",
     ),
+    # classifier.SvmModel: the classes are distinct strings.
     Mutant(
         "classifier.model_class_strings",
-        "or not all(isinstance(c, str) for c in classes)",
+        "not all(isinstance(c, str) for c in classes) or ",
         "",
     ),
     Mutant(
         "classifier.model_distinct_classes",
-        "or len(set(classes)) != len(classes)",
+        " or len(set(classes)) != len(classes)",
         "",
     ),
     # preprocess.resample_indices: the index formula and its guards.
