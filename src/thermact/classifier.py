@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +259,10 @@ def train(
     """Fit a one-vs-rest linear SVM on an (N, D) feature matrix.
 
     `classes` fixes the class order (default: sorted distinct labels); every
-    listed class must appear in `labels` at least once.
+    listed class must appear in `labels` at least once. The model is built,
+    with zero weights, before the fit, so its own rules (distinct string
+    classes, agreeing shapes, the scaler floor) refuse bad input before any
+    training.
     """
     cfg = cfg or SvmConfig()
     X = _as_matrix(features)
@@ -270,13 +273,6 @@ def train(
     present = set(labels)
     if len(present) < 2:
         raise ValueError("training needs at least 2 distinct labels")
-    ordered = tuple(classes) if classes is not None else tuple(sorted(present))
-    missing = [c for c in ordered if c not in present]
-    if missing:
-        raise ValueError(f"no training examples for class(es): {missing}")
-    unknown = present - set(ordered)
-    if unknown:
-        raise ValueError(f"labels outside the class list: {sorted(unknown)}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is refused below
         mean, std = X.mean(axis=0), X.std(axis=0)
@@ -285,11 +281,20 @@ def train(
         j = unusable[0]
         raise ValueError(f"feature column {j} cannot be standardized: its mean or std overflows")
     std = np.where(std < STD_FLOOR, 1.0, std)
+    ordered = tuple(classes) if classes is not None else tuple(sorted(present))
+    n = len(ordered)
+    model = SvmModel(ordered, np.zeros((n, X.shape[1])), np.zeros(n), mean, std, cfg)
+    missing = [c for c in ordered if c not in present]
+    if missing:
+        raise ValueError(f"no training examples for class(es): {missing}")
+    unknown = present - set(ordered)
+    if unknown:
+        raise ValueError(f"labels outside the class list: {sorted(unknown)}")
     Z = (X - mean) / std
     Zb = np.hstack([Z, np.ones((Z.shape[0], 1))])
 
     y_index = np.array([ordered.index(l) for l in labels])
-    Y = np.where(y_index == np.arange(len(ordered))[:, None], 1.0, -1.0)
+    Y = np.where(y_index == np.arange(n)[:, None], 1.0, -1.0)
     try:
         with np.errstate(over="raise", invalid="raise"):
             W, epochs, converged, objectives = _train_ovr(Zb, Y, cfg)
@@ -298,16 +303,9 @@ def train(
     except FloatingPointError as exc:
         c = cfg.regularization_c
         raise ValueError(f"regularization_c {c!r} gives non-finite values in training") from exc
-    return SvmModel(
-        classes=ordered,
-        weights=W[:, :-1],
-        biases=W[:, -1],
-        scaler_mean=mean,
-        scaler_std=std,
-        train_config=cfg,
-        epochs=tuple(epochs),
-        converged=tuple(converged),
-        objectives=tuple(objectives),
+    return replace(
+        model, weights=W[:, :-1], biases=W[:, -1], epochs=tuple(epochs),
+        converged=tuple(converged), objectives=tuple(objectives),
     )
 
 

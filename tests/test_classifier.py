@@ -108,6 +108,22 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"labels outside the class list: \['c'\]"):
             train(X, ["a", "b", "c"], classes=("a", "b"))
 
+    @pytest.mark.parametrize(
+        "classes, shown", [(("a", "b", "b"), "'a', 'b', 'b'"), (("a", "b", 3), "'a', 'b', 3")]
+    )
+    def test_bad_class_list_refused_before_the_fit(self, monkeypatch, classes, shown):
+        # The model is built before the fit and holds the class rule, so nothing trains.
+        calls = []
+        fit = classifier._train_ovr
+        monkeypatch.setattr(classifier, "_train_ovr", lambda *args: calls.append(args) or fit(*args))
+        X, labels = np.array([[0.0], [1.0], [2.0]]), ["a", "b", "b"]
+        message = re.escape(f"classes must be distinct strings, got ({shown})")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(X, labels, classes=classes)
+        assert calls == []
+        train(X, labels, classes=("a", "b"))
+        assert len(calls) == 1
+
     def test_constant_feature_passes_through_centered(self):
         X = np.array([[1.0, -1.0, 7.0], [1.0, 1.0, 7.0]] * 5)
         labels = ["a", "b"] * 5

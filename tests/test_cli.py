@@ -476,53 +476,95 @@ class TestTrainPredict:
         assert "Traceback" not in err
 
 
-def run_on_kernel(data: Path, work: Path, coretype: str | None) -> tuple:
-    """stdout of train, LOSO evaluate, featurize and predict --scores, each in
-    a child process with OpenBLAS kernel `coretype` (None: the CPU's own), and
-    the model and report bytes they write. Outputs go to `work`, named alike
-    for every kernel, so that the printed paths agree too."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
+def child_env(**settings: str) -> dict[str, str]:
+    """This process's environment for a thermact child process: the checkout's
+    src on PYTHONPATH, and the OpenBLAS kernel and numpy's dispatch level
+    left to the CPU unless `settings` pins them."""
+    pins = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    env = {k: v for k, v in os.environ.items() if k not in pins}
     src = str(Path(thermact.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
-    manifest = str(data / "manifest.json")
-    recordings = sorted(str(path) for path in data.glob("s0*.csv"))
-    commands = [
-        ["train", "--data", manifest, "--model", "model.json"],
-        ["evaluate", "--data", manifest, "--report", "report.json"],
-        ["featurize", "--data", manifest],
-        ["predict", "--scores", "--model", "model.json", "--background",
-         str(data / "background.csv"), *recordings],
-    ]
+    return {**env, **settings}
+
+
+def run_on_kernel(work: Path, env: dict[str, str]) -> tuple:
+    """stdout of generate (2x1, seed 5), then train, LOSO evaluate, featurize
+    and predict --scores on that corpus, each a child process with environment
+    `env`; then the corpus tree and the model and report bytes they write.
+    Every path is relative to `work`, so that the printed paths agree for
+    every environment."""
+
+    def thermact(*args: str) -> bytes:
+        command = [sys.executable, "-m", "thermact.cli", *args]
+        return subprocess.run(command, cwd=work, env=env, capture_output=True, check=True).stdout
+
     work.mkdir()
-    stdout = [
-        subprocess.run(
-            [sys.executable, "-m", "thermact.cli", *args],
-            cwd=work, env=env, capture_output=True, check=True,
-        ).stdout
-        for args in commands
+    stdout = [thermact("generate", "--out", "data", "--subjects", "2", "--reps", "1", "--seed", "5")]
+    recordings = sorted(f"data/{path.name}" for path in (work / "data").glob("s0*.csv"))
+    stdout += [
+        thermact("train", "--data", "data/manifest.json", "--model", "model.json"),
+        thermact("evaluate", "--data", "data/manifest.json", "--report", "report.json"),
+        thermact("featurize", "--data", "data/manifest.json"),
+        thermact("predict", "--scores", "--model", "model.json", "--background",
+                 "data/background.csv", *recordings),
     ]
-    return stdout, (work / "model.json").read_bytes(), (work / "report.json").read_bytes()
+    tree = {path.name: path.read_bytes() for path in sorted((work / "data").iterdir())}
+    return stdout, tree, (work / "model.json").read_bytes(), (work / "report.json").read_bytes()
 
 
-@pytest.mark.skipif(
-    platform.machine().lower() not in {"x86_64", "amd64"}, reason="x86-64 OpenBLAS kernels"
+@pytest.fixture(scope="module")
+def native_outputs(tmp_path_factory):
+    return run_on_kernel(tmp_path_factory.mktemp("native") / "run", child_env())
+
+
+x86_64_only = pytest.mark.skipif(
+    platform.machine().lower() not in {"x86_64", "amd64"}, reason="x86-64 kernels and levels"
 )
+
+
+@x86_64_only
 class TestSameBytesOnEveryKernel:
     """numpy picks its OpenBLAS kernel from the CPU, and kernels sum a matrix
     product in different orders. No output may depend on that order."""
 
-    @pytest.fixture(scope="class")
-    def default_kernel(self, tiny_corpus_dir, tmp_path_factory):
-        return run_on_kernel(tiny_corpus_dir, tmp_path_factory.mktemp("kernel") / "default", None)
-
     @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-    def test_outputs_match_the_default_kernel(self, tiny_corpus_dir, tmp_path, default_kernel, coretype):
-        stdout, model, report = run_on_kernel(tiny_corpus_dir, tmp_path / coretype, coretype)
-        assert model == default_kernel[1]
-        assert report == default_kernel[2]
-        assert stdout == default_kernel[0]
+    def test_outputs_match_the_default_kernel(self, tmp_path, native_outputs, coretype):
+        outputs = run_on_kernel(tmp_path / coretype, child_env(OPENBLAS_CORETYPE=coretype))
+        assert outputs == native_outputs
+
+
+def dispatch_target(env: dict[str, str]) -> str:
+    """The level numpy runs its float64 `exp` loop at in a child with `env`."""
+    code = (
+        "from numpy.lib.introspect import opt_func_info\n"
+        "info = opt_func_info(func_name='exp', signature='float64')['exp']\n"
+        "print(*(loop['current'] for loop in info.values()))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    return run.stdout.decode().strip()
+
+
+@x86_64_only
+class TestSameBytesOnEveryDispatchLevel:
+    """numpy runs its own loops (exp, sqrt, sums) at the widest SIMD level the
+    CPU has, and NPY_DISABLE_CPU_FEATURES caps that level. No output of the
+    default scene may depend on it. X86_V2 is numpy's baseline: disabling it
+    is an error, and disabling X86_V3 runs at it."""
+
+    @pytest.mark.parametrize(
+        "level, disabled",
+        [
+            ("X86_V3", "X86_V4 AVX512_ICL AVX512_SPR"),
+            ("X86_V2", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"),
+        ],
+    )
+    def test_outputs_match_the_native_level(self, tmp_path, native_outputs, level, disabled):
+        pytest.importorskip("numpy.lib.introspect")
+        env = child_env(NPY_DISABLE_CPU_FEATURES=disabled)
+        target = dispatch_target(env)
+        if target == dispatch_target(child_env()):
+            pytest.skip(f"{level}: this CPU's widest level is {target}, which the native run covers")
+        assert run_on_kernel(tmp_path / level, env) == native_outputs
 
 
 class TestFeaturize:

@@ -160,6 +160,12 @@ MUTANTS = (
     # classifier.train: the labels must fit the rows and the class list.
     Mutant("classifier.train_label_count", "if len(labels) != X.shape[0]:", "if False:"),
     Mutant("classifier.train_unknown_labels", "if unknown:", "if False:"),
+    # classifier.train: the model that checks the class list is built before the fit.
+    Mutant(
+        "classifier.train_model_before_fit",
+        "n = len(ordered)",
+        "ordered = tuple(dict.fromkeys(ordered)); n = len(ordered)",
+    ),
     # classifier.train: a column whose mean or std overflows is refused by name,
     # and an objective that overflows inside an einsum, which raises nothing.
     Mutant("classifier.train_column_standardizable", "if unusable.size:", "if False:"),
